@@ -30,7 +30,6 @@ from repro.experiments.bench import (
     grid_end_to_end,
     kernel_workloads,
     scaled,
-    timeout_churn,
 )
 
 #: name -> (fn, args, events) at the ambient benchmark scale.
@@ -47,14 +46,6 @@ def test_benchmark_timeout_churn(benchmark):
     fn, args, _events = WORKLOADS["timeout_churn"]
     outcome = benchmark.pedantic(fn, args=args, rounds=1, iterations=1)
     assert outcome.final_time > 0
-
-
-@pytest.mark.benchmark(group="des-kernel")
-def test_benchmark_timeout_churn_macro(benchmark):
-    """The same churn through one columnar macro batch (bit-identical)."""
-    fn, args, _events = WORKLOADS["timeout_churn_macro"]
-    outcome = benchmark.pedantic(fn, args=args, rounds=1, iterations=1)
-    assert outcome == timeout_churn(*args)
 
 
 @pytest.mark.benchmark(group="des-kernel")
@@ -78,36 +69,5 @@ def test_benchmark_e2e_million_jobs(benchmark):
     """A million-job batch through the full component stack (at full scale)."""
     outcome = benchmark.pedantic(
         grid_end_to_end, args=(E2E_JOBS,), rounds=1, iterations=1
-    )
-    assert outcome.count == E2E_JOBS
-
-
-@pytest.mark.benchmark(group="des-e2e")
-def test_benchmark_e2e_million_jobs_macro(benchmark):
-    """The same million-job batch with the macro-batch lanes on."""
-    outcome = benchmark.pedantic(
-        grid_end_to_end, args=(E2E_JOBS,), kwargs={"macro": True}, rounds=1, iterations=1
-    )
-    assert outcome.count == E2E_JOBS
-
-
-@pytest.mark.benchmark(group="des-e2e")
-@pytest.mark.parametrize("shards", [2, 4])
-def test_benchmark_e2e_sharded(benchmark, shards):
-    """The million-job batch across sharded-clock regions.
-
-    Runs on any machine (regions are plain subprocesses); wall-clock wins
-    need >= ``shards`` CPUs, which the trajectory notes record.  The wide
-    ``shard_window`` keeps coordinator round-trips out of the measurement:
-    the regions are fully independent, so the window only bounds clock skew,
-    and the conservative default would cost one IPC round per 60 simulated
-    seconds of a multi-week makespan.
-    """
-    outcome = benchmark.pedantic(
-        grid_end_to_end,
-        args=(E2E_JOBS,),
-        kwargs={"shards": shards, "shard_window": 1_000_000.0},
-        rounds=1,
-        iterations=1,
     )
     assert outcome.count == E2E_JOBS

@@ -46,8 +46,8 @@ def run_policy(policy: str, infrastructure, topology, jobs, datasets, seed: int)
         topology,
         execution,
         enable_data_transfers=True,
-        setup_hook=place_replicas,
     )
+    simulator.on_build(place_replicas)
     result = simulator.run([job.copy_for_replay() for job in jobs])
 
     transfers = simulator.data_manager.transfer_log

@@ -3,18 +3,11 @@
 
 Runs the standard DES kernel workloads (:func:`repro.experiments.bench.run_kernel_benchmarks`),
 records the measured events/second into ``benchmarks/results/``, and compares
-against the committed baseline:
-
-* **Absolute gate** -- any workload slower than 80% of its baseline rate
-  fails.  Raw event rates are machine-dependent, so this check only runs
-  when the current machine matches the baseline's recorded CPU count;
-  otherwise it is skipped with a note (the usual case on CI runners, whose
-  core counts differ from the dev box that recorded the baseline).
-* **Ratio gate** -- machine-independent and never skipped: the columnar
-  macro-batch path (``timeout_churn_macro``) must stay at least
-  ``--min-macro-ratio`` times faster than the scalar ``timeout_churn`` on
-  the identical workload.  A regression that erases the macro-batch win
-  fails everywhere, regardless of hardware.
+against the committed baseline: any workload slower than 80% of its baseline
+rate fails.  Raw event rates are machine-dependent, so this check only runs
+when the current machine matches the baseline's recorded CPU count;
+otherwise it is skipped with a note (the usual case on CI runners, whose
+core counts differ from the dev box that recorded the baseline).
 
 Usage::
 
@@ -65,23 +58,10 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def compare(current: dict, baseline: dict, min_macro_ratio: float) -> int:
+def compare(current: dict, baseline: dict) -> int:
     failures = []
     notes = []
-
-    # Machine-independent ratio gate (never skipped).
     rates = current["rates"]
-    scalar = rates.get("timeout_churn", 0.0)
-    macro = rates.get("timeout_churn_macro", 0.0)
-    if scalar > 0:
-        ratio = macro / scalar
-        if ratio < min_macro_ratio:
-            failures.append(
-                f"macro/scalar ratio {ratio:.2f}x below the required "
-                f"{min_macro_ratio:.2f}x (macro {macro:,.0f} ev/s vs scalar {scalar:,.0f} ev/s)"
-            )
-        else:
-            notes.append(f"macro-batch ratio gate: {ratio:.2f}x >= {min_macro_ratio:.2f}x")
 
     # Absolute gate, only on hardware comparable to the baseline.
     if baseline.get("cpu_count") != current["cpu_count"]:
@@ -127,12 +107,6 @@ def main() -> int:
     parser.add_argument("--scale", type=float, default=float(os.environ.get("CGSIM_BENCH_SCALE", "0.05")))
     parser.add_argument("--repeat", type=int, default=2)
     parser.add_argument(
-        "--min-macro-ratio",
-        type=float,
-        default=1.3,
-        help="required timeout_churn_macro / timeout_churn rate ratio (machine-independent)",
-    )
-    parser.add_argument(
         "--write-baseline",
         action="store_true",
         help="record this run as the committed baseline instead of gating",
@@ -171,7 +145,7 @@ def main() -> int:
         print(f"no baseline at {BASELINE_PATH.relative_to(REPO_ROOT)}; run --write-baseline first", file=sys.stderr)
         return 1
     baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
-    return compare(current, baseline, args.min_macro_ratio)
+    return compare(current, baseline)
 
 
 if __name__ == "__main__":

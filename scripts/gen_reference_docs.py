@@ -33,7 +33,6 @@ OUTPUT_DIR = REPO_ROOT / "docs" / "reference"
 #: Packages/modules documented in the reference, in nav order.
 MODULES = [
     "repro.des",
-    "repro.des.sharded",
     "repro.core.session",
     "repro.state",
     "repro.data",

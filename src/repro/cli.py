@@ -114,14 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SECONDS",
                      help="print a live progress line to stderr, throttled to "
                      "at most one every SECONDS of wall-clock time (default 2)")
-    run.add_argument("--shards", type=int, default=None, metavar="N",
-                     help="run the sharded-clock engine across N site regions "
-                     "(overrides execution.shards; requires a shard-eligible "
-                     "workload, see the architecture docs)")
-    run.add_argument("--shards-verify", action="store_true",
-                     help="with shards > 1, cross-check the merged metrics "
-                     "bit-for-bit against a single-clock run of the same "
-                     "workload")
     run.add_argument("--checkpoint-every", default=None, metavar="TIME",
                      help="write a checkpoint blob every TIME simulated seconds "
                      "(or a duration such as '6h'); requires --checkpoint-dir")
@@ -601,16 +593,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     topology = load_topology(args.topology)
     execution = load_execution(args.execution)
     jobs = load_trace(args.trace)
-    if args.shards is not None:
-        from dataclasses import replace
-
-        if args.shards < 1:
-            raise CGSimError("--shards must be >= 1")
-        execution = replace(execution, shards=args.shards)
-    if execution.shards > 1:
-        return _run_sharded_cli(args, infrastructure, topology, execution, jobs)
-    if args.shards_verify:
-        raise CGSimError("--shards-verify requires --shards > 1")
     simulator = Simulator(infrastructure, topology, execution)
     session = simulator.session(jobs)
     printer = None
@@ -626,30 +608,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         printer(session, force=True)
     result = session.finalize()
     _report_run(args, session, result)
-    return 0
-
-
-def _run_sharded_cli(args, infrastructure, topology, execution, jobs) -> int:
-    """The ``run --shards N`` path: sharded-clock engine, no session controls."""
-    from repro.des.sharded import run_sharded
-
-    for value, flag in (
-        (args.until, "--until"),
-        (args.progress, "--progress"),
-        (args.checkpoint_every, "--checkpoint-every"),
-        (args.checkpoint_dir, "--checkpoint-dir"),
-    ):
-        if value is not None:
-            raise CGSimError(f"{flag} drives a single-clock session; drop --shards")
-    simulator = Simulator(infrastructure, topology, execution)
-    result = run_sharded(simulator, list(jobs), verify=args.shards_verify)
-    if args.shards_verify:
-        print(
-            f"[shards] {execution.shards} regions verified against the "
-            "single-clock engine: metrics identical",
-            file=sys.stderr,
-        )
-    _report_run(args, None, result)
     return 0
 
 

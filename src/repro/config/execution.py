@@ -240,22 +240,6 @@ class ExecutionConfig:
         (0 disables retries).  This mirrors PanDA's automatic resubmission;
         every attempt appears in the output dataset, so the job failure rate
         metric counts attempts exactly as production monitoring does.
-    macro_batch:
-        Route batch-eligible timeouts (workload release times, job-completion
-        timers, monitoring ticks) through the kernel's columnar macro-event
-        lanes (:mod:`repro.des.macro`) instead of per-event pooled timeouts.
-        Off by default: the scalar path is the bit-identical reference; turn
-        this on for large throughput-bound runs.
-    shards:
-        Number of sharded-clock regions to run the simulation across
-        (:mod:`repro.des.sharded`).  1 (the default) is the ordinary
-        single-clock engine; N > 1 partitions the sites into N regions, each
-        advancing its own clock in a worker process.  Only workloads whose
-        jobs are pinned to sites a priori are eligible (see
-        ``repro.des.sharded.check_shardable``).
-    shard_window:
-        Synchronization-window size (seconds) between sharded-clock regions;
-        ``None`` derives it from the topology's cross-region lookahead.
     """
 
     plugin: str = "round_robin"
@@ -266,9 +250,6 @@ class ExecutionConfig:
     pending_retry_interval: float = 60.0
     scheduling_overhead: float = 0.0
     max_retries: int = 0
-    macro_batch: bool = False
-    shards: int = 1
-    shard_window: Optional[float] = None
     monitoring: MonitoringConfig = field(default_factory=MonitoringConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
     #: Optional early-stop conditions evaluated between events by sessions
@@ -278,14 +259,6 @@ class ExecutionConfig:
     def __post_init__(self) -> None:
         if not self.plugin:
             raise ConfigurationError("execution config: plugin must be non-empty")
-        self.macro_batch = bool(self.macro_batch)
-        self.shards = int(self.shards)
-        if self.shards < 1:
-            raise ConfigurationError("shards must be >= 1")
-        if self.shard_window is not None:
-            self.shard_window = parse_duration(self.shard_window)
-            if self.shard_window <= 0:
-                raise ConfigurationError("shard_window must be positive")
         self.dispatch_interval = parse_duration(self.dispatch_interval)
         self.pending_retry_interval = parse_duration(self.pending_retry_interval)
         self.scheduling_overhead = parse_duration(self.scheduling_overhead)
@@ -329,12 +302,6 @@ class ExecutionConfig:
         }
         # Emitted only when non-default so existing config files / scenario
         # pack canonical JSON stay byte-stable.
-        if self.macro_batch:
-            data["macro_batch"] = self.macro_batch
-        if self.shards != 1:
-            data["shards"] = self.shards
-        if self.shard_window is not None:
-            data["shard_window"] = self.shard_window
         if self.stop is not None:
             data["stop"] = self.stop.to_dict()
         return data
@@ -351,9 +318,6 @@ class ExecutionConfig:
             "pending_retry_interval",
             "scheduling_overhead",
             "max_retries",
-            "macro_batch",
-            "shards",
-            "shard_window",
             "monitoring",
             "output",
             "stop",

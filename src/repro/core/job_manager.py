@@ -39,14 +39,6 @@ class JobManager:
         join mid-run through :meth:`submit`.
     inbox:
         The store the main server reads from (created here if not supplied).
-    macro:
-        Release jobs through a columnar macro batch
-        (:meth:`repro.des.core.Environment.schedule_macro`) instead of a
-        feeder process: all release times are known up front, so one sorted
-        batch with a per-entry callback replaces a timeout plus two
-        generator resumes per job.  Jobs still enter the inbox in
-        submission-time order (ties preserve input order), exactly as the
-        scalar feeder releases them.
     """
 
     def __init__(
@@ -54,19 +46,13 @@ class JobManager:
         env: Environment,
         jobs: Iterable[Job],
         inbox: Optional[Store] = None,
-        macro: bool = False,
     ) -> None:
         self.env = env
         self.jobs: List[Job] = self._ordered_batch(jobs)
         self.inbox = inbox if inbox is not None else Store(env)
         self._released = 0
-        self._macro = bool(macro)
-        self._process = None
         # Feed a snapshot: submit() extends self.jobs while this runs.
-        if self._macro:
-            self._feed_macro(list(self.jobs))
-        else:
-            self._process = env.process(self._feeder(list(self.jobs)))
+        self._process = env.process(self._feeder(list(self.jobs)))
 
     @staticmethod
     def _ordered_batch(jobs: Iterable[Job]) -> List[Job]:
@@ -103,10 +89,7 @@ class JobManager:
         if not batch:
             return batch
         self.jobs.extend(batch)
-        if self._macro:
-            self._feed_macro(batch)
-        else:
-            self.env.process(self._feeder(batch))
+        self.env.process(self._feeder(batch))
         return batch
 
     # -- checkpoint support ------------------------------------------------
@@ -146,26 +129,6 @@ class JobManager:
                 yield self.env.timeout(delay)
             yield self.inbox.put(job)
             self._released += 1
-
-    def _feed_macro(self, batch: List[Job]) -> None:
-        """Release one batch through a columnar macro schedule (macro mode).
-
-        The batch is already submission-time ordered, so the macro lane's
-        ``(time, input position)`` dispatch reproduces the scalar feeder's
-        release order; a submission time in the past means "release now".
-        """
-        if not batch:
-            return
-        now = self.env.now
-        times = [
-            job.submission_time if job.submission_time > now else now for job in batch
-        ]
-        self.env.schedule_macro(times, self._release_one, values=batch, absolute=True)
-
-    def _release_one(self, job: Job) -> None:
-        """Macro-lane callback: hand one job to the main server's inbox."""
-        self.inbox.put(job)
-        self._released += 1
 
     def __repr__(self) -> str:
         return f"<JobManager total={len(self.jobs)} released={self._released}>"

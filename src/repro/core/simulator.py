@@ -19,7 +19,6 @@ together exactly as the paper's architecture figure describes: input layer
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
@@ -131,12 +130,6 @@ class Simulator:
         Optional iterable of :class:`~repro.faults.OutageWindow` applied by a
         :class:`~repro.faults.FaultInjector` (sites stop admitting jobs while
         a window is active).
-    setup_hook:
-        Deprecated alias for :meth:`on_build`: a callable invoked with the
-        simulator after the platform, data manager and site runtimes have
-        been built but before the run starts.  Still honored (routed through
-        the build-callback registry) but emits a :class:`DeprecationWarning`;
-        register with ``simulator.on_build(fn)`` instead.
     logger:
         Structured logger; silent when omitted.
     """
@@ -153,7 +146,6 @@ class Simulator:
         parallel_efficiency: float = 1.0,
         failure_model: Optional["JobFailureModel"] = None,
         outages: Optional[Iterable["OutageWindow"]] = None,
-        setup_hook: Optional[Callable[["Simulator"], None]] = None,
         logger: Optional[SimLogger] = None,
     ) -> None:
         self.infrastructure = infrastructure
@@ -169,16 +161,6 @@ class Simulator:
         #: Build-time lifecycle callbacks, invoked with the simulator after
         #: every subsystem is wired but before the first event runs.
         self._build_hooks: List[Callable[["Simulator"], None]] = []
-        self.setup_hook = setup_hook
-        if setup_hook is not None:
-            warnings.warn(
-                "Simulator(setup_hook=...) is deprecated; register build-time "
-                "callbacks with Simulator.on_build(fn) (the session lifecycle "
-                "API) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self._build_hooks.append(setup_hook)
 
         if policy is not None:
             self.policy = policy
@@ -210,7 +192,6 @@ class Simulator:
         self._live_sinks: List = []
         self._active_session: Optional[SimulationSession] = None
         self._snapshot_process = None
-        self._snapshot_lane = None
         #: Scoped id source for runtime-created jobs (retry attempts); built
         #: per run, seeded from the workload's own ids, so run outputs never
         #: depend on the process-global counter's history.
@@ -264,13 +245,6 @@ class Simulator:
             if self.enable_data_transfers
             else None
         )
-        macro = self.execution.macro_batch
-        # One completion lane shared by every site: entries dispatch in
-        # (time, push order), which is the per-time FIFO order the scalar
-        # calendar gives completion timeouts scheduled in the same order.
-        completion_lane = (
-            self.env.macro_lane(SiteRuntime._macro_complete) if macro else None
-        )
         self.sites = {}
         for site_config in self.infrastructure.sites:
             self.sites[site_config.name] = SiteRuntime(
@@ -282,10 +256,9 @@ class Simulator:
                 parallel_efficiency=self.parallel_efficiency,
                 failure_model=self.failure_model,
                 streaming_io=self.streaming_io,
-                completion_lane=completion_lane,
                 logger=self.logger,
             )
-        self.job_manager = JobManager(self.env, jobs, macro=macro)
+        self.job_manager = JobManager(self.env, jobs)
         self.server = MainServer(
             self.env,
             self.sites,
@@ -309,29 +282,14 @@ class Simulator:
             )
         if self.execution.monitoring.snapshot_interval > 0:
             interval = self.execution.monitoring.snapshot_interval
-            if macro:
-                # Macro mode: the monitoring ticker is a self-rearming lane
-                # entry instead of a perpetual process -- one lane entry per
-                # interval, no generator resume.
-                self._snapshot_lane = self.env.macro_lane(self._snapshot_tick)
-                self._snapshot_lane.push(interval, interval)
+            self._snapshot_process = self.env.process(self._snapshot_loop(interval))
 
-                def restart_snapshots() -> None:
-                    # The ticker stops rearming at its first tick after
-                    # completion; a later submit() must restart it for the
-                    # new wave (but never double it while one still runs).
-                    if self._snapshot_lane.remaining == 0:
-                        self._snapshot_lane.push(interval, interval)
-
-            else:
-                self._snapshot_process = self.env.process(self._snapshot_loop(interval))
-
-                def restart_snapshots() -> None:
-                    # The loop exits at its first wake after completion; when a
-                    # later submit() re-arms the run, a fresh loop must cover the
-                    # new wave (but never a second one while the old still runs).
-                    if self._snapshot_process.triggered:
-                        self._snapshot_process = self.env.process(self._snapshot_loop(interval))
+            def restart_snapshots() -> None:
+                # The loop exits at its first wake after completion; when a
+                # later submit() re-arms the run, a fresh loop must cover the
+                # new wave (but never a second one while the old still runs).
+                if self._snapshot_process.triggered:
+                    self._snapshot_process = self.env.process(self._snapshot_loop(interval))
 
             self.server.rearm_listeners.append(restart_snapshots)
         for hook in self._build_hooks:
@@ -342,17 +300,6 @@ class Simulator:
         while not self.server.all_done.triggered:
             yield self.env.timeout(interval)
             self._record_snapshots()
-
-    def _snapshot_tick(self, interval: float) -> None:
-        """Macro-lane ticker body: record, then rearm unless the run is done.
-
-        Matches the scalar loop exactly: the wake that lands after
-        completion still records (the loop body runs before the condition is
-        re-checked), and only the rearm is skipped.
-        """
-        self._record_snapshots()
-        if not self.server.all_done.triggered:
-            self._snapshot_lane.push(interval, interval)
 
     def _record_snapshots(self) -> None:
         for site in self.sites.values():
@@ -473,14 +420,6 @@ class Simulator:
         time: opening a new session (or calling :meth:`run`) rebuilds the
         run-time objects and detaches the previous session.
         """
-        if self.execution.shards > 1:
-            from repro.utils.errors import SimulationError
-
-            raise SimulationError(
-                "stepped sessions are single-clock; with execution.shards > 1 "
-                "use Simulator.run() (the sharded engine drives one session "
-                "per region internally)"
-            )
         if self._active_session is not None:
             self._active_session._detach()
             self._active_session = None
@@ -495,17 +434,8 @@ class Simulator:
         if configured, when ``execution.max_simulation_time`` is reached.
         This is a thin wrapper over the session lifecycle -- equivalent to
         ``simulator.session(jobs).advance_to_completion().finalize()`` --
-        kept as the one-call front door for closed workloads.  With
-        ``execution.shards > 1`` the run is instead routed through the
-        sharded-clock engine (:func:`repro.des.sharded.run_sharded`): sites
-        are partitioned into regions, each simulated in its own worker
-        process, and the merged result carries identical metrics for
-        shard-eligible workloads.
+        kept as the one-call front door for closed workloads.
         """
-        if self.execution.shards > 1:
-            from repro.des.sharded import run_sharded
-
-            return run_sharded(self, list(jobs))
         session = self.session(jobs)
         try:
             session.advance_to_completion()

@@ -57,15 +57,6 @@ class SiteRuntime:
         instead of their sum).  This models the streaming/pipelined I/O mode
         DCSim introduced for CMS-style workloads; the default is the
         conventional stage-in -> compute -> stage-out pipeline.
-    completion_lane:
-        Optional shared :class:`~repro.des.macro.DynamicMacroLane` whose
-        callback is :meth:`SiteRuntime._macro_complete`.  When given (and no
-        data manager is attached), admitted jobs skip the per-job
-        ``_execute`` process entirely: execution start happens inline at
-        admission and the completion is a single ``(duration, record)``
-        entry on the lane.  The lane is *shared across sites* so that
-        same-time completions dispatch in scheduling order -- exactly the
-        per-time FIFO order the scalar calendar would have used.
     logger:
         Structured logger (silent by default).
     """
@@ -80,7 +71,6 @@ class SiteRuntime:
         parallel_efficiency: float = 1.0,
         failure_model: Optional["JobFailureModel"] = None,
         streaming_io: bool = False,
-        completion_lane=None,
         logger: Optional[SimLogger] = None,
     ) -> None:
         self.env = env
@@ -93,9 +83,6 @@ class SiteRuntime:
         self.parallel_efficiency = parallel_efficiency
         self.failure_model = failure_model
         self.streaming_io = streaming_io
-        self._completion_lane = completion_lane
-        # Staging needs the generator pipeline; pure compute jobs don't.
-        self._fast_complete = completion_lane is not None and data_manager is None
         self.logger = logger or NullLogger()
 
         #: Local job queue the main server pushes into (the paper's site queue).
@@ -224,10 +211,7 @@ class SiteRuntime:
                 yield self._online_event
             host = yield from self._wait_for_host(job)
             # Start the execution handler; admission then moves to the next job.
-            if self._fast_complete:
-                self._start_fast(job, host)
-            else:
-                self.env.process(self._execute(job, host))
+            self.env.process(self._execute(job, host))
 
     def _wait_for_host(self, job: Job):
         """Block until some host can fit ``job``; reserve its cores and return it."""
@@ -327,69 +311,6 @@ class SiteRuntime:
         finally:
             host.core_pool.release(request)
             self._signal_capacity()
-
-    def _start_fast(self, job: Job, allocation) -> None:
-        """Macro fast path for ``_execute``: start inline, finish via the lane.
-
-        Only taken when no data manager is attached (no staging phases): the
-        RUNNING transition happens here, synchronously at admission time --
-        the same timestamp and ordering the urgent-priority process start
-        gave the scalar path -- and the completion becomes one entry on the
-        shared completion lane instead of a timeout plus a generator resume.
-        Failure-model draws happen at the same point as the scalar path
-        (execution start) and key on the job's stable identity, so injected
-        failures are identical.
-        """
-        if allocation is None:
-            return
-        host, request = allocation
-        job.advance(JobState.RUNNING, self.env.now)
-        self.running_jobs += 1
-        self._record(job, JobState.RUNNING)
-
-        duration = host.duration_for(
-            job.work, cores=job.cores, efficiency=self.parallel_efficiency
-        )
-        duration += self.config.walltime_overhead
-
-        failure_fraction = None
-        if self.failure_model is not None:
-            failure_fraction = self.failure_model.failure_fraction(job, self.name)
-        if failure_fraction is not None:
-            wasted = duration * failure_fraction
-            self._completion_lane.push(
-                wasted, (self, job, host, request, wasted, failure_fraction)
-            )
-        else:
-            self._completion_lane.push(
-                duration, (self, job, host, request, duration, None)
-            )
-
-    @staticmethod
-    def _macro_complete(record) -> None:
-        """Completion-lane callback: finish (or fail) one fast-path job.
-
-        Mirrors the tail of ``_execute`` exactly -- busy accounting, state
-        transition, monitoring, completion notification, then core release
-        and the capacity signal (listeners observe the cores still held, as
-        on the scalar path).
-        """
-        site, job, host, request, busy_seconds, failure_fraction = record
-        host.account_busy(job.cores, busy_seconds)
-        site.running_jobs -= 1
-        if failure_fraction is not None:
-            site._fail(
-                job,
-                f"injected failure after {failure_fraction:.0%} of execution",
-            )
-        else:
-            site.finished_jobs += 1
-            job.advance(JobState.FINISHED, site.env.now)
-            site.completed.append(job)
-            site._record(job, JobState.FINISHED)
-            site._notify_completion(job)
-        host.core_pool.release(request)
-        site._signal_capacity()
 
     def _fail(self, job: Job, reason: str) -> None:
         """Mark ``job`` failed and notify listeners."""

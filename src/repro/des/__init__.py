@@ -20,14 +20,6 @@ process-oriented discrete-event core:
 * :class:`~repro.des.stores.Store`, :class:`~repro.des.stores.FilterStore`,
   :class:`~repro.des.stores.PriorityStore` -- mailboxes/queues used for the
   sender/receiver actor communication in the simulation core.
-* :class:`~repro.des.macro.MacroBatch` /
-  :class:`~repro.des.macro.DynamicMacroLane` -- columnar macro-event lanes:
-  the vectorized fast path that dispatches large batches of independent
-  timed callbacks without per-event objects or generator resumes
-  (``Environment.schedule_macro`` / ``Environment.macro_lane``).
-* :mod:`~repro.des.sharded` -- the sharded-clock parallel engine: partitions
-  a platform's sites into conservatively-synchronized regions, each running
-  its own :class:`~repro.des.core.Environment` in a worker process.
 
 The public API intentionally mirrors the well-known SimPy interface so that
 anyone familiar with process-based DES can read the simulation core directly;
@@ -43,7 +35,6 @@ from repro.des.events import (
     Process,
     Timeout,
 )
-from repro.des.macro import DynamicMacroLane, MacroBatch
 from repro.des.resources import Container, PriorityResource, Resource
 from repro.des.stores import FilterStore, PriorityItem, PriorityStore, Store
 
@@ -54,8 +45,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "MacroBatch",
-    "DynamicMacroLane",
     "AllOf",
     "AnyOf",
     "Resource",

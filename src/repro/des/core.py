@@ -56,19 +56,12 @@ import sys
 from heapq import heappop, heappush
 from typing import Any, Dict, Generator, List, Optional
 
-import numpy as np
-
 from repro.des.events import AllOf, AnyOf, Event, Process, Timeout
-from repro.des.macro import DynamicMacroLane, MacroBatch
 from repro.utils.errors import SimulationError
 
 __all__ = ["Environment", "StopSimulation"]
 
 _INF = float("inf")
-
-#: Sentinel returned by ``_pop_next`` when progress was a macro-entry
-#: dispatch (the callback already ran) rather than a popped event.
-_MACRO_STEP = object()
 
 #: Default scheduling priority; "urgent" events (process initialisation,
 #: interrupts) use priority 0 so they run before same-time normal events.
@@ -120,8 +113,6 @@ class Environment:
         "_active_process",
         "_timeout_pool",
         "_until",
-        "_macro",
-        "_macro_seq",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -147,12 +138,6 @@ class Environment:
         #: longer matches and is ignored when it is eventually processed --
         #: this is what makes stop/resume across repeated ``run`` calls safe.
         self._until: Optional[Event] = None
-        #: Min-heap of ``(head_time, seq, lane)`` for registered macro lanes
-        #: (see :mod:`repro.des.macro`).  Empty for purely scalar workloads,
-        #: in which case the run loop never looks at it.
-        self._macro: list = []
-        #: Registration counter ordering same-time macro lanes.
-        self._macro_seq = 0
 
     # -- clock ---------------------------------------------------------------
     @property
@@ -213,54 +198,6 @@ class Environment:
         """Start a new :class:`Process` executing ``generator``."""
         return Process(self, generator)
 
-    def schedule_macro(
-        self,
-        delays,
-        callback,
-        values=None,
-        *,
-        absolute: bool = False,
-    ) -> MacroBatch:
-        """Schedule a columnar batch of timed callbacks (``MacroBatch``).
-
-        ``delays`` is a 1-D sequence of offsets from now (or absolute times
-        with ``absolute=True``); ``callback(value)`` runs once per entry in
-        ``(time, input position)`` order, with ``value`` drawn from the
-        aligned ``values`` sequence (``None`` without one).  See
-        :mod:`repro.des.macro` for the ordering contract relative to
-        ordinary calendar events.
-        """
-        times = np.asarray(delays, dtype=np.float64)
-        if times.ndim != 1:
-            raise SimulationError("macro schedule must be a 1-D sequence of times")
-        if not absolute:
-            times = times + self._now
-        if times.size:
-            earliest = float(times.min())
-            if earliest < self._now:
-                raise SimulationError(
-                    f"macro batch entry at {earliest} lies in the past (now={self._now})"
-                )
-        batch = MacroBatch(self, times, callback, values)
-        if times.size:
-            self._register_macro_lane(batch)
-        return batch
-
-    def macro_lane(self, callback) -> DynamicMacroLane:
-        """Create a push-based macro lane dispatching through ``callback``.
-
-        The lane registers itself with the calendar on first push; entries
-        dispatch in ``(time, push order)`` -- the same per-time FIFO order
-        the scalar calendar gives timeouts scheduled in push order.
-        """
-        return DynamicMacroLane(self, callback)
-
-    def _register_macro_lane(self, lane) -> None:
-        """Insert ``lane`` into the macro heap keyed by its current head."""
-        seq = self._macro_seq
-        self._macro_seq = seq + 1
-        heappush(self._macro, (lane.head_time(), seq, lane))
-
     def all_of(self, events) -> AllOf:
         """Create a condition that waits for all of ``events``."""
         return AllOf(self, events)
@@ -307,12 +244,7 @@ class Environment:
         ready = self._ready
         if ready[0] < len(ready) or self._now in self._pri_buckets:
             return self._now
-        when = self._times[0] if self._times else _INF
-        if self._macro:
-            macro_head = self._macro_head()
-            if macro_head < when:
-                return macro_head
-        return when
+        return self._times[0] if self._times else _INF
 
     @property
     def queue_length(self) -> int:
@@ -321,10 +253,6 @@ class Environment:
         count = len(ready) - ready[0]
         count += sum(len(bucket) - bucket[0] for bucket in self._buckets.values())
         count += sum(len(bucket) for bucket in self._pri_buckets.values())
-        if self._macro:
-            # Stale heap entries may duplicate a lane; count each lane once.
-            lanes = {id(entry[2]): entry[2] for entry in self._macro}
-            count += sum(lane.remaining for lane in lanes.values())
         return count
 
     # -- checkpoint support ----------------------------------------------------
@@ -359,13 +287,10 @@ class Environment:
                 f"t={expected!r}, replay reached t={self._now!r}"
             )
 
-    def _pop_next(self) -> Optional[Any]:
+    def _pop_next(self) -> Optional[Event]:
         """Remove and return the next event in ``(time, priority, seq)`` order.
 
         Advances the clock as needed; returns ``None`` when no events remain.
-        When the next unit of work is a macro-lane entry, dispatches exactly
-        one entry (its callback runs here) and returns the ``_MACRO_STEP``
-        sentinel instead of an event.
         """
         while True:
             if self._pri_buckets:
@@ -379,25 +304,7 @@ class Environment:
                 ready[index] = None  # release the slot so the object can be pooled
                 ready[0] = index + 1
                 return event
-            if self._macro:
-                macro_head = self._macro_head()
-                if macro_head != _INF:
-                    times = self._times
-                    if times:
-                        head = times[0]
-                        if macro_head == head and head in self._pri_buckets:
-                            # Urgent events at this time outrank the macro
-                            # entries: advance the clock only, the loop picks
-                            # the urgent bucket up next iteration.
-                            self._now = head
-                            continue
-                        if macro_head <= head:
-                            self._dispatch_macro_one()
-                            return _MACRO_STEP
-                    else:
-                        self._dispatch_macro_one()
-                        return _MACRO_STEP
-            if not self._advance_regular():
+            if not self._advance():
                 return None
 
     def _pop_pri(self, bucket: list) -> Event:
@@ -408,34 +315,6 @@ class Environment:
         return event
 
     def _advance(self) -> bool:
-        """Make progress when the ready list is empty; False when nothing remains.
-
-        On the scalar path this moves the clock to the next scheduled time
-        and adopts that time's whole bucket as the new ready list.  With
-        macro lanes registered it first arbitrates between the macro heads
-        and the regular calendar (urgent buckets at the shared time win,
-        then macro entries, then the normal bucket) and may instead drain a
-        run of macro entries in a tight loop (:meth:`_advance_macro`).
-        """
-        if self._macro:
-            macro_head = self._macro_head()
-            if macro_head != _INF:
-                times = self._times
-                if times:
-                    head = times[0]
-                    if macro_head == head and head in self._pri_buckets:
-                        # Deadline sentinels / urgent events at this time run
-                        # before same-time macro entries: advance the clock
-                        # only and let the run loop drain the urgent bucket.
-                        self._now = head
-                        return True
-                    if macro_head <= head:
-                        return self._advance_macro()
-                else:
-                    return self._advance_macro()
-        return self._advance_regular()
-
-    def _advance_regular(self) -> bool:
         """Move the clock to the next calendar time; False when none remains.
 
         Adopts the next time's whole bucket as the new ready list.
@@ -451,127 +330,11 @@ class Environment:
         self._ready = self._buckets.pop(when, None) or [1]
         return True
 
-    def _macro_head(self) -> float:
-        """Earliest macro-entry time, refreshing stale lane heads lazily.
-
-        Heap entries record a lane's head at registration time; a lane whose
-        true head moved (drained entries, or a dynamic push that triggered a
-        duplicate registration) is popped and, if still non-empty, reinserted
-        under its current head.
-        """
-        macro = self._macro
-        while macro:
-            entry = macro[0]
-            actual = entry[2].head_time()
-            if actual == entry[0]:
-                return actual
-            heappop(macro)
-            if actual != _INF:
-                heappush(macro, (actual, entry[1], entry[2]))
-        return _INF
-
-    def _advance_macro(self) -> bool:
-        """Drain a run of due entries from the front macro lane.
-
-        Caller (:meth:`_advance`) has established that the lane's head is
-        dispatchable.  The loop keeps dispatching entries from this lane
-        while they stay ahead of every other event source, and bails back to
-        the main run loop as soon as a callback makes same-time work
-        runnable (ready/urgent events, or a newly registered lane) so
-        causality within a timestamp is preserved.
-        """
-        macro = self._macro
-        lane = macro[0][2]
-        times = self._times
-        pri = self._pri_buckets
-        ready = self._ready
-        callback = lane.callback
-        # Heads of *other* lanes are fixed while this lane drains (a new
-        # registration changes len(macro), which is re-checked per entry).
-        if len(macro) > 1:
-            limit = macro[1][0]
-            if len(macro) > 2 and macro[2][0] < limit:
-                limit = macro[2][0]
-        else:
-            limit = _INF
-        lane_count = len(macro)
-        if type(lane) is MacroBatch:
-            lane_times = lane._times
-            lane_values = lane._values
-            cursor = lane._cursor
-            size = len(lane_times)
-            try:
-                while cursor < size:
-                    when = lane_times[cursor]
-                    if when > limit:
-                        break
-                    if times:
-                        head = times[0]
-                        if when > head or (when == head and head in pri):
-                            break
-                    if when != self._now:
-                        if when < self._now:
-                            self._check_clock(when)
-                        else:
-                            self._now = when
-                    value = None if lane_values is None else lane_values[cursor]
-                    cursor += 1
-                    callback(value)
-                    if lane._cancelled:
-                        cursor = size
-                        break
-                    if ready[0] < len(ready) or (pri and self._now in pri) or len(macro) != lane_count:
-                        break
-            finally:
-                lane._cursor = cursor
-        else:
-            heap = lane._heap
-            while heap:
-                when = heap[0][0]
-                if when > limit:
-                    break
-                if times:
-                    head = times[0]
-                    if when > head or (when == head and head in pri):
-                        break
-                if when != self._now:
-                    if when < self._now:
-                        self._check_clock(when)
-                    else:
-                        self._now = when
-                callback(heappop(heap)[2])
-                if ready[0] < len(ready) or (pri and self._now in pri) or len(macro) != lane_count:
-                    break
-        return True
-
-    def _dispatch_macro_one(self) -> None:
-        """Dispatch exactly one entry from the front macro lane (step path)."""
-        lane = self._macro[0][2]
-        when = lane.head_time()
-        if when != self._now:
-            if when < self._now:
-                self._check_clock(when)
-            else:
-                self._now = when
-        if type(lane) is MacroBatch:
-            cursor = lane._cursor
-            value = lane._values[cursor] if lane._values is not None else None
-            lane._cursor = cursor + 1
-            lane.callback(value)
-        else:
-            lane.callback(lane._pop_value())
-
     def step(self) -> None:
-        """Process exactly one event; raise :class:`IndexError` if none remain.
-
-        A due macro-lane entry counts as one event: its callback has already
-        run inside the dispatch, so ``step`` returns immediately.
-        """
+        """Process exactly one event; raise :class:`IndexError` if none remain."""
         event = self._pop_next()
         if event is None:
             raise IndexError("no more events scheduled")
-        if event is _MACRO_STEP:
-            return
 
         callbacks = event.callbacks
         event.callbacks = None

@@ -1,13 +1,12 @@
 """Kernel micro-benchmarks: raw event throughput of the DES engine.
 
 The micro-workloads mirror the hot patterns the simulation core produces --
-timeout churn (job executions, in scalar and columnar macro-batch form),
-resource contention (site admission) and store ping-pong (sender/receiver
-messaging); :func:`grid_end_to_end` measures the full component stack on a
-synthetic grid.  They are shared between the
-pytest benchmark harness (``benchmarks/bench_des_engine.py``) and the
-``repro bench`` CLI subcommand, which measures events/second and can dump a
-cProfile summary of where a run spends its time.
+timeout churn (job executions), resource contention (site admission) and
+store ping-pong (sender/receiver messaging); :func:`grid_end_to_end`
+measures the full component stack on a synthetic grid.  They are shared
+between the pytest benchmark harness (``benchmarks/bench_des_engine.py``)
+and the ``repro bench`` CLI subcommand, which measures events/second and can
+dump a cProfile summary of where a run spends its time.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import os
 import pstats
 import time
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from repro.des import Environment, Resource, Store
 
@@ -28,7 +27,6 @@ __all__ = [
     "KernelBenchResult",
     "scaled",
     "timeout_churn",
-    "timeout_churn_macro",
     "resource_contention",
     "store_pingpong",
     "grid_end_to_end",
@@ -75,45 +73,6 @@ def timeout_churn(process_count: int, hops: int) -> WorkloadOutcome:
     return WorkloadOutcome(process_count, env.now)
 
 
-def timeout_churn_macro(process_count: int, hops: int) -> WorkloadOutcome:
-    """The same workload as :func:`timeout_churn` through a columnar macro batch.
-
-    All hop times are known up front, so the whole workload collapses into
-    one :meth:`~repro.des.core.Environment.schedule_macro` call -- the fast
-    path the macro-batch engine gives the simulation core's own timeout
-    churn.  Hop times are accumulated with the same ``t = t + delay``
-    float chain the scalar clock performs, so the outcome (count and final
-    clock) is bit-identical to :func:`timeout_churn`.
-    """
-    env = Environment()
-    # Delays depend only on index % 7: accumulate the 7 distinct hop
-    # sequences once and replicate, instead of process_count * hops sums.
-    bases = []
-    for k in range(7):
-        delay = 1.0 + k * 0.1
-        t = 0.0
-        seq = []
-        for _ in range(hops):
-            t = t + delay
-            seq.append(t)
-        bases.append(seq)
-    last_hop = [False] * (hops - 1) + [True]
-    times: List[float] = []
-    values: List[bool] = []
-    for index in range(process_count):
-        times.extend(bases[index % 7])
-        values.extend(last_hop)
-    finished = [0]
-
-    def on_hop(is_last: bool) -> None:
-        if is_last:
-            finished[0] += 1
-
-    env.schedule_macro(times, on_hop, values=values, absolute=True)
-    env.run()
-    return WorkloadOutcome(finished[0], env.now)
-
-
 def resource_contention(process_count: int, capacity: int) -> WorkloadOutcome:
     """Processes repeatedly acquire/release a shared core pool."""
     env = Environment()
@@ -157,27 +116,14 @@ def store_pingpong(pairs: int, messages: int) -> WorkloadOutcome:
     return WorkloadOutcome(len(received), env.now)
 
 
-def grid_end_to_end(
-    job_count: int,
-    macro: bool = False,
-    shards: int = 1,
-    sites: int = 8,
-    shard_window: Optional[float] = None,
-) -> WorkloadOutcome:
+def grid_end_to_end(job_count: int, sites: int = 8) -> WorkloadOutcome:
     """One full simulator run: synthetic workload on a synthetic grid.
 
     The end-to-end counterpart of the kernel micro-workloads -- job release,
     dispatch, admission, execution and completion all exercise the engine
-    through the real component stack.  ``macro`` routes the hot timeouts
-    through the columnar macro-batch lanes; ``shards`` runs the sharded-clock
-    engine.  For sharded benchmark runs pass a wide ``shard_window``: the
-    workload's regions are fully independent, so windows only bound clock
-    skew, and the default conservative window (~60 simulated seconds) would
-    cost hundreds of thousands of coordinator round-trips on a
-    multi-week-makespan workload -- the measurement would time the IPC, not
-    the engine.  Monitoring is muted (the throughput of the *engine* is what
-    is being measured).  The outcome counts finished jobs, so rates derived
-    from it read as jobs/second.
+    through the real component stack.  Monitoring is muted (the throughput
+    of the *engine* is what is being measured).  The outcome counts finished
+    jobs, so rates derived from it read as jobs/second.
     """
     from repro.config.execution import ExecutionConfig, MonitoringConfig
     from repro.config.generators import generate_grid
@@ -188,9 +134,6 @@ def grid_end_to_end(
     jobs = SyntheticWorkloadGenerator(infrastructure, seed=2).generate(job_count)
     execution = ExecutionConfig(
         plugin="follow_trace",
-        macro_batch=macro,
-        shards=shards,
-        shard_window=shard_window,
         monitoring=MonitoringConfig(enable_events=False, snapshot_interval=0.0),
     )
     result = Simulator(infrastructure, topology, execution).run(jobs)
@@ -236,8 +179,6 @@ def kernel_workloads(scale: float = 1.0) -> List[Tuple[str, Callable, Tuple, int
     pairs, messages = scaled(500, scale=scale), scaled(40, minimum=2, scale=scale)
     return [
         ("timeout_churn", timeout_churn, (processes, hops), processes * hops),
-        # The identical workload through the columnar macro-batch fast path.
-        ("timeout_churn_macro", timeout_churn_macro, (processes, hops), processes * hops),
         # Each acquisition is a request + a timeout event.
         ("resource_contention", resource_contention, (workers, pool), workers * 5 * 2),
         # Each message is a put + a get event.

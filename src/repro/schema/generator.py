@@ -41,7 +41,7 @@ __all__ = [
 
 #: Version of the scenario-pack schema document.  Bump the major part for
 #: breaking changes to the pack format, the minor part for additive ones.
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "2.0"
 
 #: Canonical ``$id`` of the published schema document.
 SCHEMA_ID = "https://example.invalid/cgsim-repro/schema/scenario-pack.schema.json"
@@ -545,13 +545,6 @@ def _execution_def() -> Dict[str, Any]:
                 d, "scheduling_overhead"),
             "max_retries": _with_default(_integer(0, "Automatic resubmissions of failed jobs."),
                                          d, "max_retries"),
-            "macro_batch": _with_default({"type": "boolean",
-                                          "description": "Route batch-eligible timeouts through macro-event lanes."},
-                                         d, "macro_batch"),
-            "shards": _with_default(_integer(1, "Sharded-clock regions (1 = single clock)."),
-                                    d, "shards"),
-            "shard_window": _quantity("duration", exclusive_minimum=0, nullable=True,
-                                      description="Synchronization window between shards."),
             "monitoring": {"$ref": "#/$defs/monitoring"},
             "output": {"$ref": "#/$defs/output"},
             "stop": _nullable_ref("#/$defs/stop"),

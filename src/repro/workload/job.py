@@ -41,19 +41,14 @@ class JobIdAllocator:
       inputs, never on how many jobs the process created beforehand.
     """
 
-    __slots__ = ("_next", "step")
+    __slots__ = ("_next",)
 
-    def __init__(self, start: int = 1, step: int = 1) -> None:
+    def __init__(self, start: int = 1) -> None:
         self._next = int(start)
-        #: Increment between consecutive ids.  The sharded-clock engine
-        #: gives region ``k`` of ``N`` the allocator ``(base + k, step=N)``
-        #: so regions mint from disjoint congruence classes and merged
-        #: outputs never carry colliding retry ids.
-        self.step = int(step)
 
     def __next__(self) -> int:
         value = self._next
-        self._next = value + self.step
+        self._next = value + 1
         return value
 
     def allocate(self) -> int:

@@ -99,18 +99,23 @@ class TestGenerateTraceAndRun:
             "--jobs", "20",
             "--output", str(trace_path),
         ])
-        code = main([
+        argv = [
             "run",
             "--infrastructure", str(config_dir / "infrastructure.json"),
             "--topology", str(config_dir / "topology.json"),
             "--execution", str(config_dir / "execution.json"),
             "--trace", str(trace_path),
             "--per-site", "--dashboard",
-        ])
-        assert code == 0
+        ]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "finished" in out
         assert "dashboard" in out.lower()
+        # The removed sharded-engine flag is rejected by the parser.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--shards", "2"])
+        assert excinfo.value.code != 0
+        assert "--shards" in capsys.readouterr().err
 
     def test_calibrate_command(self, config_dir, tmp_path, capsys):
         trace_path = tmp_path / "trace.csv"
@@ -305,7 +310,6 @@ class TestBenchCommand:
         workloads = {row["workload"] for row in payload["results"]}
         assert workloads == {
             "timeout_churn",
-            "timeout_churn_macro",
             "resource_contention",
             "store_pingpong",
         }

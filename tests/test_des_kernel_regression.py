@@ -14,7 +14,6 @@ from repro.experiments.bench import (
     resource_contention,
     store_pingpong,
     timeout_churn,
-    timeout_churn_macro,
 )
 from repro.utils.errors import SimulationError
 
@@ -32,27 +31,6 @@ class TestSeedKernelEquivalence:
     )
     def test_timeout_churn_final_time(self, process_count, hops, expected_final_time):
         assert timeout_churn(process_count, hops).final_time == expected_final_time
-
-    @pytest.mark.parametrize(
-        "process_count, hops, expected_final_time",
-        [
-            (100, 10, 15.999999999999998),
-            (37, 13, 20.8),
-            (2000, 64, 102.39999999999989),
-        ],
-    )
-    def test_macro_churn_is_bit_identical_to_scalar(
-        self, process_count, hops, expected_final_time
-    ):
-        """The columnar macro-batch path reproduces the scalar outcomes exactly.
-
-        Same pinned final times (the accumulated ``t = t + delay`` float
-        chains match the scalar clock), same completion counts -- the
-        kernel-level half of the macro/scalar bit-identity guarantee.
-        """
-        outcome = timeout_churn_macro(process_count, hops)
-        assert outcome.final_time == expected_final_time
-        assert tuple(outcome) == tuple(timeout_churn(process_count, hops))
 
     @pytest.mark.parametrize(
         "process_count, capacity, expected",

@@ -1,7 +1,7 @@
 """Tests for the extension features layered on the core simulator.
 
 Covers the pieces that go beyond the paper's headline experiments but that a
-downstream user of the framework relies on: the ``setup_hook`` seam, the
+downstream user of the framework relies on: the ``on_build`` seam, the
 DCSim-style streaming-I/O execution mode, and the k-nearest-neighbour
 surrogate baseline.
 """
@@ -76,12 +76,8 @@ class TestSetupHook:
                 )
             )
 
-        # The deprecated keyword still works; it must warn exactly once at
-        # construction and then behave like an on_build callback.
-        with pytest.warns(DeprecationWarning, match="on_build"):
-            simulator = Simulator(
-                two_site_infrastructure, execution=_quiet("least_loaded"), setup_hook=hook
-            )
+        simulator = Simulator(two_site_infrastructure, execution=_quiet("least_loaded"))
+        simulator.on_build(hook)
         simulator.run([Job(work=1e10)])
         assert seen == [(["FAR", "NEAR"], True, True)]
 

@@ -81,79 +81,6 @@ class TestClockAndTimeouts:
         assert env.now == deadline
 
 
-class TestMacroScalarEquivalence:
-    """The columnar macro lanes must be bit-identical to scalar timeouts."""
-
-    @given(delays)
-    @settings(max_examples=60, deadline=None)
-    def test_macro_batch_matches_independent_timeouts(self, schedule):
-        """One MacroBatch == the same schedule as per-process timeouts.
-
-        Equality is exact (no approx): same observed (delay, firing time)
-        sequence, same final clock.  This is the contract that lets
-        ``execution.macro_batch=True`` reproduce scalar runs bit-for-bit.
-        """
-        scalar_env = Environment()
-        scalar_seen = []
-
-        def waiter(delay: float):
-            yield scalar_env.timeout(delay)
-            scalar_seen.append((delay, scalar_env.now))
-
-        for delay in schedule:
-            scalar_env.process(waiter(delay))
-        scalar_env.run()
-
-        macro_env = Environment()
-        macro_seen = []
-        macro_env.schedule_macro(
-            schedule, lambda d: macro_seen.append((d, macro_env.now)), values=schedule
-        )
-        macro_env.run()
-
-        assert macro_seen == scalar_seen
-        assert macro_env.now == scalar_env.now
-
-    @given(delays)
-    @settings(max_examples=60, deadline=None)
-    def test_dynamic_lane_matches_independent_timeouts(self, schedule):
-        """A DynamicMacroLane fed in push order == scalar timeouts."""
-        scalar_env = Environment()
-        scalar_seen = []
-
-        def waiter(delay: float):
-            yield scalar_env.timeout(delay)
-            scalar_seen.append((delay, scalar_env.now))
-
-        for delay in schedule:
-            scalar_env.process(waiter(delay))
-        scalar_env.run()
-
-        macro_env = Environment()
-        macro_seen = []
-        lane = macro_env.macro_lane(lambda d: macro_seen.append((d, macro_env.now)))
-        for delay in schedule:
-            lane.push(delay, delay)
-        macro_env.run()
-
-        assert macro_seen == scalar_seen
-        assert macro_env.now == scalar_env.now
-
-    @given(delays, delays)
-    @settings(max_examples=40, deadline=None)
-    def test_macro_batch_respects_run_until(self, schedule, more):
-        """run(until=t) never dispatches a macro entry past (or at) t."""
-        macro_env = Environment()
-        fired = []
-        macro_env.schedule_macro(
-            schedule + more, lambda d: fired.append(macro_env.now), values=schedule + more
-        )
-        deadline = max(schedule) / 2 + 0.1
-        macro_env.run(until=deadline)
-        assert macro_env.now == deadline
-        assert all(when < deadline for when in fired)
-
-
 class TestResourceInvariants:
     @given(
         st.integers(min_value=1, max_value=8),

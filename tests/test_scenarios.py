@@ -65,6 +65,13 @@ class TestSchemaValidation:
     def test_unknown_grid_field_reports_pack_and_section(self):
         with pytest.raises(ConfigurationError, match="scenario pack 'p': grid.*nodes"):
             ScenarioPack.from_dict({"name": "p", "grid": {"nodes": 3}})
+        # The removed engine knobs are unknown fields like any other.
+        for key, value in (("macro_batch", True), ("shards", 2), ("shard_window", 100.0)):
+            with pytest.raises(
+                ConfigurationError,
+                match=f"scenario pack 'p': execution.*'{key}'.*at /execution",
+            ):
+                ScenarioPack.from_dict({"name": "p", "execution": {key: value}})
 
     def test_bad_grid_kind(self):
         with pytest.raises(ConfigurationError, match="kind must be one of"):

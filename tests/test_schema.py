@@ -162,13 +162,21 @@ class TestValidatorRejections:
         assert "/workload/jobs" in self._pointers(data)
 
     def test_unknown_field_lists_known_fields(self):
-        data = self.base()
-        data["workload"]["jobz"] = 5
-        errors = self._errors(data)
-        assert any(
-            e.pointer == "/workload/jobz" and "known fields" in e.message
-            for e in errors
-        )
+        # The removed engine knobs are unknown fields like any other.
+        for section, key, value in (
+            ("workload", "jobz", 5),
+            ("execution", "macro_batch", True),
+            ("execution", "shards", 2),
+            ("execution", "shard_window", 100.0),
+        ):
+            data = self.base()
+            data[section][key] = value
+            errors = self._errors(data)
+            assert any(
+                e.pointer == f"/{section}/{key}"
+                and f"unknown field '{key}'; known fields" in e.message
+                for e in errors
+            ), (section, key)
 
     def test_unknown_plugin_points_at_plugin(self):
         data = self.base()

@@ -466,20 +466,6 @@ class TestFinalizeAndInterruption:
 
 
 class TestDeprecationAndRegistry:
-    def test_setup_hook_warns_but_still_runs(self, small_infrastructure, small_jobs):
-        calls = []
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            simulator = Simulator(
-                small_infrastructure,
-                execution=_quiet(),
-                setup_hook=lambda sim: calls.append(sim),
-            )
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert any("on_build" in str(w.message) for w in caught)
-        simulator.run(small_jobs)
-        assert calls == [simulator]
-
     def test_on_build_registry_runs_in_order_every_build(
         self, small_infrastructure, small_jobs
     ):
@@ -495,12 +481,6 @@ class TestDeprecationAndRegistry:
         assert order == ["first", "second"]
         simulator.run([j.copy_for_replay() for j in small_jobs])
         assert order == ["first", "second", "first", "second"]
-
-    def test_no_deprecation_warning_without_setup_hook(self, small_infrastructure):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            Simulator(small_infrastructure, execution=_quiet())
-        assert not any(issubclass(w.category, DeprecationWarning) for w in caught)
 
     def test_scenario_runner_does_not_warn(self):
         from repro.scenarios import ScenarioPack, run_scenario_pack

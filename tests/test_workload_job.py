@@ -119,7 +119,7 @@ class TestJobHelpers:
 
 
 class TestJobIdAllocator:
-    """The scoped allocator behind per-simulator (and per-region) run ids."""
+    """The scoped allocator behind per-simulator run ids."""
 
     def test_allocate_peek_reset(self):
         from repro.workload.job import JobIdAllocator
@@ -130,16 +130,6 @@ class TestJobIdAllocator:
         assert allocator.allocate() == 11
         allocator.reset(5)
         assert allocator.allocate() == 5
-
-    def test_stride_gives_disjoint_congruence_classes(self):
-        from repro.workload.job import JobIdAllocator
-
-        regions = [JobIdAllocator(100 + k, step=3) for k in range(3)]
-        minted = [[region.allocate() for _ in range(4)] for region in regions]
-        assert minted[0] == [100, 103, 106, 109]
-        assert minted[1] == [101, 104, 107, 110]
-        flat = [value for row in minted for value in row]
-        assert len(flat) == len(set(flat))
 
     def test_ensure_above_only_raises(self):
         from repro.workload.job import JobIdAllocator
