@@ -9,6 +9,11 @@ when the current machine matches the baseline's recorded CPU count;
 otherwise it is skipped with a note (the usual case on CI runners, whose
 core counts differ from the dev box that recorded the baseline).
 
+The *stack* is protected by a ratio that does not depend on the machine:
+``grid_end_to_end`` microseconds per job divided by ``timeout_churn``
+microseconds per event, both measured here at fixed sizes, must stay under
+the ceiling committed in the baseline file.  It runs on every machine.
+
 Usage::
 
     python scripts/check_bench_regression.py [--scale 0.05] [--repeat 2]
@@ -25,6 +30,7 @@ import json
 import os
 import platform
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +42,35 @@ LATEST_PATH = RESULTS_DIR / "bench_latest.json"
 
 #: Fractional throughput drop that fails the absolute gate.
 MAX_DROP = 0.20
+#: Fixed sizes of the end-to-end ratio gate (independent of ``--scale``, so
+#: the committed ceiling means the same thing on every run).
+E2E_JOBS = 2000
+CHURN_ARGS = (1000, 50)
+#: Headroom ``--write-baseline`` puts between the measured ratio and the ceiling.
+E2E_HEADROOM = 0.35
+
+
+def measure_e2e_ratio(repeat: int) -> dict:
+    """End-to-end us/job over kernel us/event, best of ``repeat`` interleaved runs."""
+    from repro.experiments.bench import grid_end_to_end, timeout_churn
+
+    def seconds(fn, *args) -> float:
+        started = time.perf_counter()
+        fn(*args)
+        return time.perf_counter() - started
+
+    job_s, event_s = float("inf"), float("inf")
+    for _ in range(max(1, repeat)):
+        job_s = min(job_s, seconds(grid_end_to_end, E2E_JOBS))
+        event_s = min(event_s, seconds(timeout_churn, *CHURN_ARGS))
+    us_per_job = job_s / E2E_JOBS * 1e6
+    us_per_event = event_s / (CHURN_ARGS[0] * CHURN_ARGS[1]) * 1e6
+    return {
+        "jobs": E2E_JOBS,
+        "us_per_job": round(us_per_job, 2),
+        "us_per_event": round(us_per_event, 4),
+        "ratio": round(us_per_job / us_per_event, 1),
+    }
 
 
 def measure(scale: float, repeat: int) -> dict:
@@ -50,6 +85,7 @@ def measure(scale: float, repeat: int) -> dict:
         "python": platform.python_version(),
         "rates": {r.workload: round(r.events_per_second, 1) for r in results},
         "checks": {r.workload: r.check for r in results},
+        "e2e_ratio": measure_e2e_ratio(repeat),
     }
 
 
@@ -91,6 +127,18 @@ def compare(current: dict, baseline: dict) -> int:
                     f"{workload}: {rate:,.0f} ev/s vs baseline {base_rate:,.0f} ev/s ok"
                 )
 
+    # Ratio gate: machine-independent, so it never skips.
+    ratio, ceiling = current["e2e_ratio"]["ratio"], baseline.get("e2e_ratio_ceiling")
+    if ceiling is None:
+        failures.append("baseline has no e2e_ratio_ceiling; re-run --write-baseline")
+    elif ratio > ceiling:
+        failures.append(
+            f"end-to-end ratio {ratio:.1f} (us/job over kernel us/event) is above the "
+            f"committed ceiling {ceiling:.1f}: the stack got slower relative to the kernel"
+        )
+    else:
+        notes.append(f"end-to-end ratio {ratio:.1f} vs ceiling {ceiling:.1f} ok")
+
     for note in notes:
         print(f"  {note}")
     if failures:
@@ -126,9 +174,15 @@ def main() -> int:
     print(f"recorded {LATEST_PATH.relative_to(REPO_ROOT)}:")
     for workload, rate in sorted(current["rates"].items()):
         print(f"  {workload}: {rate:,.0f} events/s")
+    e2e = current["e2e_ratio"]
+    print(
+        f"  grid_end_to_end: {e2e['us_per_job']:.1f} us/job over timeout_churn "
+        f"{e2e['us_per_event']:.3f} us/event = ratio {e2e['ratio']:.1f}"
+    )
 
     if args.write_baseline:
         baseline = dict(current)
+        baseline["e2e_ratio_ceiling"] = round(e2e["ratio"] * (1.0 + E2E_HEADROOM), 1)
         baseline["rates"] = {
             workload: round(rate * (1.0 - args.baseline_margin), 1)
             for workload, rate in current["rates"].items()

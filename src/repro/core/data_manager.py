@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.des import Environment, Event
 from repro.platform.platform import Platform
-from repro.utils.errors import SchedulingError
+from repro.utils.errors import CheckpointError, SchedulingError
 from repro.workload.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,6 +83,11 @@ class DataManager:
         self.keep_new_replicas = keep_new_replicas
         self.cache_spec = cache
         self._replicas: Dict[str, Dict[str, Replica]] = {}
+        #: The catalogue by site, kept in step with ``_replicas`` by
+        #: ``_add_replica``/``_drop_replica``, and each site's frozen copy of it,
+        #: dropped whenever that site's set changes.
+        self._resident: Dict[str, Set[str]] = {}
+        self._resident_frozen: Dict[str, frozenset] = {}
         #: Transfer log: (dataset, source, destination, size, start, end).
         self.transfer_log: List[dict] = []
         #: Per-site caches (empty mapping when no cache spec is attached).
@@ -106,9 +111,7 @@ class DataManager:
         """Callback deregistering an evicted dataset's replica at ``site``."""
 
         def handle(dataset: str, size: float) -> None:
-            by_site = self._replicas.get(dataset)
-            if by_site is not None:
-                by_site.pop(site, None)
+            self._drop_replica(dataset, site)
             storages = self.platform.storages_in_zone(site)
             if storages:
                 storages[0].evict(dataset)
@@ -116,6 +119,18 @@ class DataManager:
         return handle
 
     # -- catalogue ------------------------------------------------------------
+    def _add_replica(self, replica: Replica) -> None:
+        """Enter ``replica`` into the catalogue and its site's resident set."""
+        self._replicas.setdefault(replica.dataset, {})[replica.site] = replica
+        self._resident.setdefault(replica.site, set()).add(replica.dataset)
+        self._resident_frozen.pop(replica.site, None)
+
+    def _drop_replica(self, dataset: str, site: str) -> None:
+        """Forget ``site``'s replica of ``dataset`` (no-op when it has none)."""
+        if self._replicas.get(dataset, {}).pop(site, None) is not None:
+            self._resident[site].discard(dataset)
+            self._resident_frozen.pop(site, None)
+
     def register_replica(
         self, dataset: str, site: str, size: float, pinned: bool = True, cached: bool = True
     ) -> Replica:
@@ -134,7 +149,7 @@ class DataManager:
             raise SchedulingError("replica size must be >= 0")
         self.platform.zone(site)  # validates the site exists
         replica = Replica(dataset=dataset, site=site, size=float(size))
-        self._replicas.setdefault(dataset, {})[site] = replica
+        self._add_replica(replica)
         storages = self.platform.storages_in_zone(site)
         if storages:
             storages[0].register(dataset, size)
@@ -152,11 +167,14 @@ class DataManager:
 
     def datasets_at(self, site: str) -> Set[str]:
         """Datasets with a replica at ``site``."""
-        return {
-            dataset
-            for dataset, by_site in self._replicas.items()
-            if site in by_site
-        }
+        return set(self._resident.get(site, ()))
+
+    def resident_data(self, site: str) -> frozenset:
+        """:meth:`datasets_at` as a frozenset shared until ``site``'s catalogue changes."""
+        frozen = self._resident_frozen.get(site)
+        if frozen is None:
+            frozen = self._resident_frozen[site] = frozenset(self._resident.get(site, ()))
+        return frozen
 
     # -- cache bookkeeping -----------------------------------------------------
     def cache_stats(self) -> Dict[str, "CacheStats"]:
@@ -199,9 +217,7 @@ class DataManager:
         holds the bytes), unlike the legacy ``keep_new_replicas`` path which
         rolls the replica back.
         """
-        self._replicas.setdefault(dataset, {})[site] = Replica(
-            dataset=dataset, site=site, size=size
-        )
+        self._add_replica(Replica(dataset=dataset, site=site, size=size))
         storages = self.platform.storages_in_zone(site)
         if storages and not storages[0].holds(dataset):
             try:
@@ -238,8 +254,21 @@ class DataManager:
         catalogue (dataset -> holding sites), the transfer-log length, the
         number of in-flight fetches and every site cache's snapshot.  All of
         it is replay-derived, so this is the verification record the data
-        layer of a restored run is compared against.
+        layer of a restored run is compared against.  The per-site resident
+        sets the resource view reads are audited against a scan of the
+        catalogue on the way (:class:`CheckpointError` naming the site).
         """
+        scan: Dict[str, Set[str]] = {}
+        for dataset, by_site in self._replicas.items():
+            for site in by_site:
+                scan.setdefault(site, set()).add(dataset)
+        for site in sorted(scan.keys() | self._resident.keys()):
+            datasets, frozen = scan.get(site, set()), self._resident_frozen.get(site)
+            stale = frozen is not None and frozen != datasets
+            if stale or self._resident.get(site, set()) != datasets:
+                raise CheckpointError(
+                    f"data manager: resident set of site {site!r} disagrees with the catalogue"
+                )
         return {
             "replicas": {
                 dataset: sorted(by_site) for dataset, by_site in self._replicas.items()
@@ -260,7 +289,6 @@ class DataManager:
         paths rather than silently resuming a different data layout.
         """
         from repro.state.protocol import diff_states
-        from repro.utils.errors import CheckpointError
 
         diffs = diff_states(state, self.snapshot())
         if diffs:
@@ -358,15 +386,15 @@ class DataManager:
                 route, transfer_size, metadata={"dataset": dataset}
             )
         if cache is None and self.keep_new_replicas:
-            self._replicas.setdefault(dataset, {})[destination] = Replica(
-                dataset=dataset, site=destination, size=transfer_size
+            self._add_replica(
+                Replica(dataset=dataset, site=destination, size=transfer_size)
             )
             storages = self.platform.storages_in_zone(destination)
             if storages and not storages[0].holds(dataset):
                 try:
                     storages[0].register(dataset, transfer_size)
                 except Exception:  # storage full: keep going, replica stays remote
-                    self._replicas[dataset].pop(destination, None)
+                    self._drop_replica(dataset, destination)
         self.transfer_log.append(
             {
                 "dataset": dataset,
@@ -415,7 +443,7 @@ class DataManager:
             yield write
         else:
             yield self.env.timeout(0.0)
-        self._replicas.setdefault(dataset, {})[site] = Replica(dataset, site, size)
+        self._add_replica(Replica(dataset, site, size))
         cache = self.caches.get(site)
         if cache is not None:
             cache.insert(dataset, size, pinned=False)

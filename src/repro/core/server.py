@@ -11,7 +11,9 @@ The simulation finishes once every job has been assigned and executed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
 from repro.des import Environment, Event, Store
 from repro.plugins.base import AllocationPolicy, ResourceView, SiteStatus
@@ -25,6 +27,35 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.monitoring.collector import MonitoringCollector
 
 __all__ = ["MainServer"]
+
+
+class _LiveStatuses(Mapping):
+    """The mapping behind one :class:`ResourceView`: every site of the server,
+    each :class:`SiteStatus` built when first read and handed back thereafter."""
+
+    __slots__ = ("_server", "_built")
+
+    def __init__(self, server: "MainServer") -> None:
+        self._server = server
+        self._built: Dict[str, SiteStatus] = {}
+
+    def __getitem__(self, name: str) -> SiteStatus:
+        status = self._built.get(name)
+        if status is None:
+            status = self._built[name] = self._server._site_status(name)
+        return status
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._server.sites)
+
+    def __len__(self) -> int:
+        return len(self._server.sites)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._server.sites
+
+    def values(self) -> List[SiteStatus]:
+        return [self[name] for name in self._server.sites]
 
 
 class MainServer:
@@ -122,6 +153,11 @@ class MainServer:
         if self.total_jobs == 0:
             self.all_done.succeed()
 
+        #: Each site's configured properties, read-only, shared by its status records.
+        self._properties = {
+            name: MappingProxyType(site.config.properties) for name, site in self.sites.items()
+        }
+
         self.policy.initialize(platform_description or {})
         for site in self.sites.values():
             site.completion_callbacks.append(self._on_job_completed)
@@ -131,26 +167,30 @@ class MainServer:
 
     # -- resource view ------------------------------------------------------------
     def resource_view(self) -> ResourceView:
-        """Build the per-site status snapshot handed to the policy."""
-        statuses = {}
-        for name, site in self.sites.items():
-            resident = frozenset()
-            if self.data_manager is not None:
-                resident = frozenset(self.data_manager.datasets_at(name))
-            statuses[name] = SiteStatus(
-                name=name,
-                total_cores=site.total_cores,
-                available_cores=site.available_cores,
-                core_speed=site.config.core_speed,
-                pending_jobs=site.queued_jobs,
-                running_jobs=site.running_jobs,
-                assigned_jobs=site.backlog,
-                finished_jobs=site.finished_jobs,
-                failed_jobs=site.failed_jobs,
-                resident_data=resident,
-                properties=dict(site.config.properties),
-            )
-        return ResourceView(statuses, time=self.env.now)
+        """Open the view handed to the policy for one dispatch.
+
+        Nothing is read here: a site's status is built when the policy first
+        asks for it.  Views are never reused across dispatches -- a site's
+        queue can change between two dispatches at the same timestamp.
+        """
+        return ResourceView(_LiveStatuses(self), time=self.env.now)
+
+    def _site_status(self, name: str) -> SiteStatus:
+        """The current status record of site ``name`` (KeyError if unknown)."""
+        site, data = self.sites[name], self.data_manager
+        return SiteStatus(
+            name=name,
+            total_cores=site.total_cores,
+            available_cores=site.available_cores,
+            core_speed=site.config.core_speed,
+            pending_jobs=site.queued_jobs,
+            running_jobs=site.running_jobs,
+            assigned_jobs=site.backlog,
+            finished_jobs=site.finished_jobs,
+            failed_jobs=site.failed_jobs,
+            resident_data=data.resident_data(name) if data is not None else frozenset(),
+            properties=self._properties[name],
+        )
 
     # -- lifecycle -----------------------------------------------------------------
     def expect(self, count: int) -> None:
@@ -197,31 +237,34 @@ class MainServer:
 
     def _dispatch(self, job: Job) -> None:
         """Consult the policy for one job; queue it or park it as pending."""
-        view = self.resource_view()
-        site_name = self.policy.assign_job(job, view)
-        if site_name is None:
+        if not self._place(job):
             self._park(job)
-            return
-        if site_name not in self.sites:
+
+    def _place(self, job: Job) -> bool:
+        """Submit ``job`` to the site the policy names; False if it has to wait."""
+        site_name = self.policy.assign_job(job, self.resource_view())
+        if site_name is None:
+            return False
+        site = self.sites.get(site_name)
+        if site is None:
             raise SchedulingError(
                 f"policy {self.policy.name!r} assigned job {job.job_id} to unknown site "
                 f"{site_name!r}"
             )
-        site = self.sites[site_name]
         if job.cores > site.max_host_cores():
             # The policy picked a site that can never run the job; treat it as
             # unplaceable rather than failing the whole simulation.
-            self._park(job)
-            return
+            return False
         job.advance(JobState.ASSIGNED, self.env.now, site=site_name)
         self.assignments[int(job.job_id)] = site_name
         self._record(job, JobState.ASSIGNED, site_name)
         site.submit(job)
+        return True
 
     def _park(self, job: Job) -> None:
         """Put a job on the pending list (or fail it if it can never be placed)."""
-        widest = max((site.max_host_cores() for site in self.sites.values()), default=0)
-        if job.cores > widest:
+        if not any(job.cores <= site.max_host_cores() for site in self.sites.values()):
+            widest = max((site.max_host_cores() for site in self.sites.values()), default=0)
             self._fail_unplaceable(
                 job, f"no site has a host with {job.cores} cores (widest host: {widest})"
             )
@@ -242,24 +285,8 @@ class MainServer:
 
     def _retry_pending(self) -> None:
         """Re-run the policy over the pending list (oldest first)."""
-        if not self.pending:
-            return
-        still_pending: List[Job] = []
-        for job in self.pending:
-            view = self.resource_view()
-            site_name = self.policy.assign_job(job, view)
-            if site_name is None or site_name not in self.sites:
-                still_pending.append(job)
-                continue
-            site = self.sites[site_name]
-            if job.cores > site.max_host_cores():
-                still_pending.append(job)
-                continue
-            job.advance(JobState.ASSIGNED, self.env.now, site=site_name)
-            self.assignments[int(job.job_id)] = site_name
-            self._record(job, JobState.ASSIGNED, site_name)
-            site.submit(job)
-        self.pending = still_pending
+        if self.pending:
+            self.pending = [job for job in self.pending if not self._place(job)]
 
     def _pending_sweeper(self):
         """Fallback periodic sweep of the pending list."""

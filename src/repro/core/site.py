@@ -17,7 +17,7 @@ from repro.config.infrastructure import SiteConfig
 from repro.des import Environment, Event, Store
 from repro.platform.host import Host
 from repro.platform.platform import Platform
-from repro.utils.errors import SchedulingError
+from repro.utils.errors import CheckpointError, SchedulingError
 from repro.utils.logging import NullLogger, SimLogger
 from repro.workload.job import Job, JobState
 
@@ -136,7 +136,7 @@ class SiteRuntime:
 
     def max_host_cores(self) -> int:
         """Largest single-host core count (widest job the site can ever run)."""
-        return max((host.cores for host in self.zone.hosts), default=0)
+        return self.zone.max_host_cores
 
     # -- checkpoint support -------------------------------------------------------
     # cgsim: lint-ignore[snap-field-coverage] the queue store and availability events are rebuilt by replay
@@ -146,8 +146,18 @@ class SiteRuntime:
         Part of the :class:`repro.state.Snapshottable` protocol: queue
         depth, per-state job counters, free cores and the outage bookkeeping
         are all replay-derived, so this snapshot is the per-site
-        verification record a checkpoint restore is compared against.
+        verification record a checkpoint restore is compared against.  The
+        zone's incrementally maintained core counters are audited against a
+        scan of its hosts on the way (:class:`CheckpointError` on mismatch).
         """
+        cores = [host.cores for host in self.zone]
+        scan = (sum(cores), sum(h.available_cores for h in self.zone), max(cores, default=0))
+        counters = (self.total_cores, self.available_cores, self.max_host_cores())
+        if counters != scan:
+            raise CheckpointError(
+                f"site {self.name!r}: core counters (total, free, widest host) "
+                f"{counters} disagree with the host scan {scan}"
+            )
         return {
             "queued": self.queued_jobs,
             "assigned": self.assigned_jobs,
@@ -170,7 +180,6 @@ class SiteRuntime:
         naming every divergent field.
         """
         from repro.state.protocol import diff_states
-        from repro.utils.errors import CheckpointError
 
         diffs = diff_states(state, self.snapshot())
         if diffs:
@@ -231,11 +240,15 @@ class SiteRuntime:
 
     def _pick_host(self, cores: int) -> Optional[Host]:
         """Best-fit host with at least ``cores`` free cores (None if none)."""
-        candidates = [h for h in self.zone.hosts if h.available_cores >= cores]
-        if not candidates:
+        if self.zone.available_cores < cores:
             return None
         # Best fit: smallest sufficient free-core count, ties by name.
-        return min(candidates, key=lambda h: (h.available_cores, h.name))
+        best, best_key = None, None
+        for host in self.zone:
+            free = host.available_cores
+            if free >= cores and (best is None or (free, host.name) < best_key):
+                best, best_key = host, (free, host.name)
+        return best
 
     def _signal_capacity(self) -> None:
         """Wake the admission loop after cores were released."""

@@ -30,7 +30,7 @@ from repro.utils.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
 
-__all__ = ["Request", "Release", "Resource", "PriorityResource", "Container"]
+__all__ = ["Request", "Release", "Resource", "PriorityResource", "Container", "Tally"]
 
 
 class Request(Event):
@@ -76,6 +76,20 @@ class Release(Event):
         self.succeed()
 
 
+class Tally:
+    """Units in use, summed over every pool told to :meth:`Resource.report_to` it.
+
+    Each pool adds to ``in_use`` where it grants units and subtracts where it
+    takes them back, so the total over a group of pools (the hosts of a site,
+    say) is one attribute read instead of a sum over its members.
+    """
+
+    __slots__ = ("in_use",)
+
+    def __init__(self) -> None:
+        self.in_use = 0
+
+
 class Resource:
     """A pool of ``capacity`` identical units with FIFO waiting.
 
@@ -87,7 +101,9 @@ class Resource:
         Number of units in the pool (>= 1).
     """
 
-    __slots__ = ("env", "capacity", "_in_use", "_waiting", "_queued", "_granted", "_seq")
+    __slots__ = (
+        "env", "capacity", "_in_use", "_waiting", "_queued", "_granted", "_seq", "_tally",
+    )
 
     def __init__(self, env: "Environment", capacity: int = 1) -> None:
         if capacity < 1:
@@ -102,6 +118,8 @@ class Resource:
         self._granted: set = set()
         #: Tie-break counter for PriorityResource heap entries.
         self._seq = 0
+        #: Shared usage counter kept in step with ``_in_use`` (see report_to).
+        self._tally = None
 
     # -- public API ---------------------------------------------------------
     @property
@@ -126,6 +144,11 @@ class Resource:
     def release(self, request: Request) -> Release:
         """Return the units held by ``request`` to the pool."""
         return Release(self, request)
+
+    def report_to(self, tally: Tally) -> None:
+        """Count this pool's granted units in ``tally`` from now on."""
+        self._tally = tally
+        tally.in_use += self._in_use
 
     # -- waiter queue (overridden by PriorityResource) -------------------------
     def _push_waiter(self, request: Request) -> None:
@@ -155,6 +178,8 @@ class Resource:
         if request in self._granted:
             self._granted.discard(request)
             self._in_use -= request.amount
+            if self._tally is not None:
+                self._tally.in_use -= request.amount
         self._trigger_waiters()
 
     def _cancel(self, request: Request) -> None:
@@ -178,6 +203,8 @@ class Resource:
             self._pop_waiter()
             self._queued -= 1
             self._in_use += head.amount
+            if self._tally is not None:
+                self._tally.in_use += head.amount
             self._granted.add(head)
             head.succeed()
 

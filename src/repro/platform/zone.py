@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from repro.des.resources import Tally
 from repro.platform.host import Host
 from repro.platform.link import Link
 from repro.utils.errors import PlatformError
@@ -45,6 +46,12 @@ class NetZone:
         self.local_link = local_link
         self.properties: Dict[str, str] = dict(properties or {})
         self._hosts: Dict[str, Host] = {}
+        #: Sum of cores / widest single host over the zone's hosts, and the
+        #: cores their pools have granted: kept current by :meth:`add_host`
+        #: and by the pools themselves, so capacity reads never scan hosts.
+        self.total_cores = 0
+        self.max_host_cores = 0
+        self._busy = Tally()
 
     # -- host management -----------------------------------------------------
     def add_host(self, host: Host) -> Host:
@@ -57,6 +64,9 @@ class NetZone:
             )
         host.zone = self
         self._hosts[host.name] = host
+        self.total_cores += host.cores
+        self.max_host_cores = max(self.max_host_cores, host.cores)
+        host.core_pool.report_to(self._busy)
         return host
 
     def host(self, name: str) -> Host:
@@ -82,14 +92,9 @@ class NetZone:
 
     # -- aggregate capacity ----------------------------------------------------
     @property
-    def total_cores(self) -> int:
-        """Sum of cores across the zone's hosts."""
-        return sum(host.cores for host in self._hosts.values())
-
-    @property
     def available_cores(self) -> int:
         """Sum of currently free cores across the zone's hosts."""
-        return sum(host.available_cores for host in self._hosts.values())
+        return self.total_cores - self._busy.in_use
 
     @property
     def total_speed(self) -> float:

@@ -6,16 +6,16 @@ every incoming job, using the standardized job structure and the resource
 information the simulator exposes.
 
 A policy never touches simulator internals: it sees a
-:class:`ResourceView` -- an immutable-by-convention snapshot of per-site
-capacity and queue state refreshed by the main server before every dispatch
-round -- and returns a site name (or ``None`` to leave the job pending).
+:class:`ResourceView` -- a read-only window onto per-site capacity and queue
+state that the main server opens for every dispatch -- and returns a site
+name (or ``None`` to leave the job pending).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Mapping, Optional
 
 from repro.utils.errors import SchedulingError
 from repro.workload.job import Job
@@ -25,7 +25,13 @@ __all__ = ["SiteStatus", "ResourceView", "AllocationPolicy"]
 
 @dataclass
 class SiteStatus:
-    """Dynamic, per-site information exposed to allocation policies."""
+    """Dynamic, per-site information exposed to allocation policies.
+
+    One record describes one site at the moment the policy first read it
+    through its :class:`ResourceView`.  Treat every field as read-only:
+    ``resident_data`` and ``properties`` are shared with the simulator (and
+    with the next dispatch's records), not copied per dispatch.
+    """
 
     name: str
     total_cores: int
@@ -38,8 +44,8 @@ class SiteStatus:
     failed_jobs: int = 0
     #: Names of datasets/files whose replicas the site's storage holds.
     resident_data: frozenset = field(default_factory=frozenset)
-    #: Free-form site properties (tier, cloud, country).
-    properties: Dict[str, str] = field(default_factory=dict)
+    #: Free-form site properties (tier, cloud, country); read-only.
+    properties: Mapping[str, str] = field(default_factory=dict)
 
     @property
     def load_fraction(self) -> float:
@@ -69,15 +75,21 @@ class SiteStatus:
 
 
 class ResourceView:
-    """Snapshot of the whole grid handed to a policy's ``assign_job``.
+    """The grid as a policy's ``assign_job`` sees it, for one dispatch.
 
     This is the reproduction of CGSim's ``getResourceInformation`` hook: the
-    simulator builds/refreshes one of these before each dispatch round and
-    the policy reads it (it must not mutate it).
+    simulator opens a fresh view for every dispatch and the policy reads it
+    (it must not mutate it).  ``sites`` is any site-name -> :class:`SiteStatus`
+    mapping, used as given: tests pass a plain dict, the main server passes a
+    read-through mapping that builds a site's status the first time the
+    policy reads it.  A view is therefore valid for the duration of the
+    ``assign_job`` call it was handed to -- a policy that only looks at one
+    site pays for one site, and a view kept for later keeps reading the live
+    grid for every site it had not looked at yet.
     """
 
-    def __init__(self, sites: Dict[str, SiteStatus], time: float = 0.0) -> None:
-        self._sites = dict(sites)
+    def __init__(self, sites: Mapping[str, SiteStatus], time: float = 0.0) -> None:
+        self._sites = sites
         self.time = time
 
     # -- read access ---------------------------------------------------------

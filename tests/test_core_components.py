@@ -142,6 +142,20 @@ class TestSiteRuntime:
         assert site.queued_jobs == 0
 
 
+    def test_snapshot_audits_the_zone_core_counters(self, env):
+        from repro.utils.errors import CheckpointError
+
+        site, _ = build_site(env, cores=8, hosts=2)
+        job = Job(work=8e9, cores=2)
+        job.advance(JobState.ASSIGNED, 0.0, site="SITE")
+        site.submit(job)
+        env.run(until=0.5)
+        assert site.snapshot()["available_cores"] == 6
+        site.zone._busy.in_use -= 1  # a pool that forgot to report a grant
+        with pytest.raises(CheckpointError, match="site 'SITE'.*core counters"):
+            site.snapshot()
+
+
 def build_grid(env, policy, jobs, collector=None, **server_kwargs):
     """Wire a two-site grid with a main server around ``policy``."""
     infrastructure = InfrastructureConfig(
@@ -237,6 +251,23 @@ class TestMainServer:
         with pytest.raises(SchedulingError):
             env.run(until=server.all_done)
 
+    def test_pending_retry_naming_unknown_site_raises_too(self, env):
+        """The pending-list retry used to swallow this and leave the run hanging."""
+        from repro.plugins.base import AllocationPolicy
+
+        class LaterBrokenPolicy(AllocationPolicy):
+            calls = 0
+
+            def assign_job(self, job, resources):
+                self.calls += 1
+                return None if self.calls == 1 else "NOWHERE"
+
+        server, _sites = build_grid(
+            env, LaterBrokenPolicy(), [Job(work=1e9)], pending_retry_interval=5.0
+        )
+        with pytest.raises(SchedulingError, match="unknown site 'NOWHERE'"):
+            env.run(until=server.all_done)
+
     def test_policy_lifecycle_hooks_called(self, env):
         calls = {"init": 0, "finished": 0, "final": 0}
 
@@ -265,6 +296,45 @@ class TestMainServer:
         view = server.resource_view()
         assert set(view.site_names) == {"BIG", "SMALL"}
         assert view.site("BIG").total_cores == 16
+
+    def test_view_builds_a_status_on_first_read_and_keeps_it(self, env):
+        server, sites = build_grid(env, LeastLoadedPolicy(), [])
+        view = server.resource_view()
+        sites["BIG"].submit(Job(work=1e9))  # after the view was opened, before its first read
+        big = view.site("BIG")
+        assert big.assigned_jobs == 1
+        sites["BIG"].submit(Job(work=1e9))
+        assert view.site("BIG") is big and big.assigned_jobs == 1
+        assert [s.name for s in view.sites] == ["BIG", "SMALL"] and view.sites[0] is big
+        assert server.resource_view().site("BIG").assigned_jobs == 2
+        assert "SMALL" in view and "NOWHERE" not in view and len(view) == 2
+        with pytest.raises(SchedulingError):
+            view.site("NOWHERE")
+
+    def test_status_properties_are_shared_read_only(self, env):
+        server, sites = build_grid(env, LeastLoadedPolicy(), [])
+        sites["BIG"].config.properties["tier"] = "1"
+        status = server.resource_view().site("BIG")
+        assert status.properties == {"tier": "1"}
+        with pytest.raises(TypeError):
+            status.properties["tier"] = "2"
+
+    def test_follow_trace_dispatch_builds_one_site_status(self, env, monkeypatch):
+        import repro.core.server as server_module
+        from repro.plugins.base import SiteStatus
+        from repro.plugins.bundled import FollowTracePolicy
+
+        built = []
+
+        def counting_status(**fields):
+            built.append(fields["name"])
+            return SiteStatus(**fields)
+
+        monkeypatch.setattr(server_module, "SiteStatus", counting_status)
+        jobs = [Job(work=1e9, target_site="SMALL"), Job(work=1e9, target_site="BIG")]
+        server, _sites = build_grid(env, FollowTracePolicy(), jobs)
+        env.run(until=server.all_done)
+        assert built == ["SMALL", "BIG"]  # one per dispatch: the job's own site
 
 
 class TestDataManager:

@@ -270,6 +270,67 @@ class TestDataManagerCacheRouting:
         assert dataset not in dm.caches["A"]  # ...but not pinned into its cache
 
 
+class TestResidentSetsFollowTheCatalogue:
+    """The per-site resident sets the resource view reads vs a catalogue scan."""
+
+    @staticmethod
+    def check(simulator):
+        dm = simulator.data_manager
+        catalogue = dm.snapshot()["replicas"]  # dataset -> holding sites
+        view = simulator.server.resource_view()
+        for site in simulator.sites:
+            scan = {dataset for dataset, holders in catalogue.items() if site in holders}
+            assert dm.datasets_at(site) == scan
+            assert view.site(site).resident_data == frozenset(scan)
+            assert dm.resident_data(site) is dm.resident_data(site)  # shared until a change
+
+    def test_data_cache_shaped_run_with_evictions(self):
+        from repro import ExecutionConfig, Simulator
+        from repro.atlas import PandaWorkloadModel, wlcg_grid
+        from repro.config.execution import MonitoringConfig
+        from repro.workload.generator import WorkloadSpec
+
+        infrastructure, topology = wlcg_grid(site_count=4)
+        jobs = PandaWorkloadModel(
+            infrastructure, spec=WorkloadSpec(arrival_rate=0.02), seed=17
+        ).generate_trace(80)
+        names = [f"dataset_{i:03d}" for i in range(12)]
+        draws = RandomSource(17).generator("dataset-assignment").integers(0, 12, size=len(jobs))
+        for job, draw in zip(jobs, draws):
+            job.attributes["dataset"] = names[int(draw)]
+        simulator = Simulator(
+            infrastructure,
+            topology,
+            ExecutionConfig(plugin="data_aware", monitoring=MonitoringConfig(snapshot_interval=0.0)),
+            enable_data_transfers=True,
+            data_cache=DataCacheSpec(capacity=30e9, policy="lru"),
+        )
+
+        def place(sim):
+            for index, name in enumerate(names):
+                site = infrastructure.site_names[index % 4]
+                sim.data_manager.register_replica(name, site, 10e9, pinned=False)
+
+        simulator.on_build(place)
+        session = simulator.session(jobs)
+        self.check(simulator)
+        while not session.progress().done:
+            session.advance_for(600.0)
+            self.check(simulator)
+        assert simulator.data_manager.cache_summary()["cache_evictions"] > 0
+        session.finalize()
+
+    def test_snapshot_names_the_site_whose_resident_set_drifted(self, env):
+        from repro.utils.errors import CheckpointError
+
+        dm, _ = build_manager(env, DataCacheSpec(capacity=10e9))
+        dm.register_replica("d0", "A", 1e9)
+        dm.snapshot()
+        dm._resident["B"] = {"ghost"}
+        with pytest.raises(CheckpointError, match="site 'B'"):
+            dm.snapshot()
+
+
 class TestPrewarm:
     def test_prewarm_turns_first_reads_into_hits(self, env):
         dm, _ = build_manager(env, DataCacheSpec(capacity=10e9, prewarm=True))

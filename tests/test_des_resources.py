@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import Container, Environment, PriorityResource, Resource
+from repro.des.resources import Tally
 from repro.utils.errors import SimulationError
 
 
@@ -132,6 +133,24 @@ class TestResource:
         env.process(waiter(env))
         env.run(until=5)
         assert resource.queue_length == 1
+
+
+class TestTally:
+    def test_sums_grants_and_releases_of_every_reporting_pool(self, env):
+        tally = Tally()
+        fifo, ranked = Resource(env, capacity=3), PriorityResource(env, capacity=2)
+        early = fifo.request(amount=2)  # granted before the pool starts reporting
+        fifo.report_to(tally)
+        ranked.report_to(tally)
+        assert tally.in_use == 2
+        held = ranked.request(amount=2)
+        waiter = ranked.request()  # queued: counts only once granted
+        assert tally.in_use == 4
+        ranked.release(held)
+        assert waiter.triggered and tally.in_use == 3
+        early.cancel()
+        waiter.cancel()
+        assert tally.in_use == 0 == fifo.count + ranked.count
 
 
 class TestPriorityResource:

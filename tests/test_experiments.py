@@ -279,3 +279,39 @@ class TestOptimizerBatchMap:
 
 def _parabola(x):
     return float((x[0] - 1.7) ** 2)
+
+
+class TestBenchRegressionGate:
+    """The end-to-end ratio gate of scripts/check_bench_regression.py."""
+
+    @pytest.fixture(scope="class")
+    def gate(self):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "scripts" / "check_bench_regression.py"
+        spec = importlib.util.spec_from_file_location("check_bench_regression", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @staticmethod
+    def current(ratio):
+        return {"cpu_count": 64, "scale": 0.05, "rates": {}, "e2e_ratio": {"ratio": ratio}}
+
+    def test_ratio_gate_applies_on_any_machine(self, gate, capsys):
+        baseline = {"cpu_count": 1, "scale": 0.05, "rates": {"timeout_churn": 1.0},
+                    "e2e_ratio_ceiling": 100.0}
+        assert gate.compare(self.current(80.0), baseline) == 0
+        assert gate.compare(self.current(140.0), baseline) == 1
+        assert "above the committed ceiling 100.0" in capsys.readouterr().err
+
+    def test_baseline_without_a_ceiling_fails(self, gate, capsys):
+        assert gate.compare(self.current(80.0), {"cpu_count": 1, "rates": {}}) == 1
+        assert "e2e_ratio_ceiling" in capsys.readouterr().err
+
+    def test_committed_baseline_carries_the_ceiling(self, gate):
+        import json
+
+        baseline = json.loads(gate.BASELINE_PATH.read_text(encoding="utf-8"))
+        assert baseline["e2e_ratio_ceiling"] > 0

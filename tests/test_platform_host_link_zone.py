@@ -4,7 +4,9 @@ import pytest
 
 from repro.des import Environment
 from repro.platform import Host, Link, NetZone, Storage
+from repro.platform.compute import ComputeModel
 from repro.utils.errors import PlatformError
+from repro.utils.rng import RandomSource
 
 
 class TestHost:
@@ -185,3 +187,64 @@ class TestNetZone:
         host.core_pool.request(amount=2)
         env.run()
         assert zone.available_cores == 2
+
+
+class TestZoneCountersMatchHostScan:
+    """The zone's O(1) core counters against the sums they replaced."""
+
+    @staticmethod
+    def check(zone):
+        hosts = list(zone)
+        assert zone.available_cores == sum(h.available_cores for h in hosts)
+        assert zone.total_cores == sum(h.cores for h in hosts)
+        assert zone.max_host_cores == max((h.cores for h in hosts), default=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_request_release_cancel(self, seed):
+        env = Environment()
+        rng = RandomSource(seed).generator("zone-counter-fuzz")
+        zone = NetZone("SITE")
+        compute = ComputeModel(env)
+        self.check(zone)
+        hosts = [zone.add_host(Host(env, f"wn{i}", speed=1e9, cores=int(rng.integers(1, 9))))
+                 for i in range(3)]
+        requests = []  # (host, request): granted, queued behind a wide head, or cancelled
+        for step in range(300):
+            action = int(rng.integers(0, 6))
+            host = hosts[int(rng.integers(0, len(hosts)))]
+            if action <= 1:
+                # Wide requests queue at the head and block narrower ones behind them.
+                amount = host.cores if rng.random() < 0.3 else int(rng.integers(1, host.cores + 1))
+                requests.append((host, host.core_pool.request(amount=amount)))
+            elif action == 2 and requests:
+                index = int(rng.integers(0, len(requests)))
+                owner, request = requests[index]
+                if request.triggered:
+                    del requests[index]
+                owner.core_pool.release(request)  # a no-op on a still-queued request
+            elif action == 3 and requests:
+                _owner, request = requests.pop(int(rng.integers(0, len(requests))))
+                request.cancel()  # releases if granted, withdraws if queued
+            elif action == 4:
+                compute.execute(host, work=float(rng.integers(1, 5)) * 1e9,
+                                cores=int(rng.integers(1, host.cores + 1)))
+            elif step % 25 == 0:
+                # A late host, some of its cores already granted before it joins.
+                late = Host(env, f"late{step}", speed=1e9, cores=int(rng.integers(1, 17)))
+                requests.append((late, late.core_pool.request(amount=1)))
+                hosts.append(zone.add_host(late))
+            self.check(zone)
+            if rng.random() < 0.3:
+                env.run(until=env.now + float(rng.random()))
+                self.check(zone)
+        for owner, request in requests:
+            request.cancel()
+        env.run()
+        self.check(zone)
+        assert zone.available_cores == zone.total_cores
+
+    def test_hosts_outside_a_zone_need_no_counter(self, env):
+        host = Host(env, "loose", speed=1e9, cores=2)
+        request = host.core_pool.request()
+        host.core_pool.release(request)
+        assert host.available_cores == 2
