@@ -9,10 +9,13 @@ when the current machine matches the baseline's recorded CPU count;
 otherwise it is skipped with a note (the usual case on CI runners, whose
 core counts differ from the dev box that recorded the baseline).
 
-The *stack* is protected by a ratio that does not depend on the machine:
-``grid_end_to_end`` microseconds per job divided by ``timeout_churn``
-microseconds per event, both measured here at fixed sizes, must stay under
-the ceiling committed in the baseline file.  It runs on every machine.
+The *stack* is protected by two ratios that do not depend on the machine,
+each measured here at fixed sizes against ``timeout_churn`` microseconds per
+event from the same run, and each held under a ceiling committed in the
+baseline file: ``grid_end_to_end`` microseconds per job (the simulation),
+and microseconds per row of a synthetic monitored run written to CSV and
+SQLite through the output sinks (the output layer).  They run on every
+machine.
 
 Usage::
 
@@ -30,6 +33,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -46,12 +50,71 @@ MAX_DROP = 0.20
 #: the committed ceiling means the same thing on every run).
 E2E_JOBS = 2000
 CHURN_ARGS = (1000, 50)
-#: Headroom ``--write-baseline`` puts between the measured ratio and the ceiling.
-E2E_HEADROOM = 0.35
+#: Fixed shape of the output gate's synthetic run: ``(events, snapshot ticks,
+#: sites, jobs)`` -- snapshot-heavy, like a monitored 40-site run.
+OUTPUT_SHAPE = (4000, 200, 40, 1000)
+#: Headroom ``--write-baseline`` puts between a measured ratio and its ceiling.
+RATIO_HEADROOM = 0.35
+#: The two ratio gates: measurement key -> (ceiling key, what got slower).
+RATIO_GATES = {
+    "e2e_ratio": ("e2e_ratio_ceiling", "the stack got slower relative to the kernel"),
+    "output_ratio": (
+        "output_ratio_ceiling",
+        "the output layer got slower relative to the kernel",
+    ),
+}
 
 
-def measure_e2e_ratio(repeat: int) -> dict:
-    """End-to-end us/job over kernel us/event, best of ``repeat`` interleaved runs."""
+def synthetic_run():
+    """A finished monitored run of ``OUTPUT_SHAPE``: ``(collector, jobs)``."""
+    from repro.monitoring import MonitoringCollector, SiteSnapshot
+    from repro.workload.job import Job, JobState
+
+    events, ticks, sites, job_count = OUTPUT_SHAPE
+    names = [f"SITE_{index:03d}" for index in range(sites)]
+    jobs = [
+        Job(work=1e12 + index, cores=1 + index % 8, job_id=index + 1, submission_time=index * 0.5)
+        for index in range(job_count)
+    ]
+    for index, job in enumerate(jobs):
+        job.advance(JobState.ASSIGNED, index * 0.5, site=names[index % sites])
+        job.advance(JobState.RUNNING, index * 0.5 + 1.0)
+        job.advance(JobState.FINISHED, index * 0.5 + 900.0)
+    collector = MonitoringCollector()
+    states = (JobState.ASSIGNED, JobState.RUNNING, JobState.FINISHED)
+    for index in range(events):
+        collector.record_transition(
+            jobs[index % job_count], states[index % 3], index * 1.25, site=names[index % sites],
+            available_cores=index % 600, pending_jobs=index % 7, assigned_jobs=index % 11,
+        )
+    for tick in range(1, ticks + 1):
+        collector.record_snapshots([
+            SiteSnapshot(
+                time=300.0 * tick, site=name, total_cores=600, available_cores=(tick * 7) % 601,
+                running_jobs=tick % 50, queued_jobs=tick % 5, pending_jobs=tick % 3,
+                finished_jobs=tick, failed_jobs=tick % 2,
+            )
+            for name in names
+        ])
+    return collector, jobs
+
+
+def write_outputs(collector, jobs, directory: Path) -> int:
+    """Write the run to ``directory`` as ``Simulator._write_outputs`` does; rows written."""
+    from repro.monitoring import CSVSink, SQLiteStore
+    from repro.monitoring.events import snapshot_row
+
+    snapshots = list(map(snapshot_row, collector.snapshots))
+    for sink in (SQLiteStore(directory / "run.sqlite"), CSVSink(directory / "csv")):
+        sink.write_batch(collector.events.rows())
+        sink.write_snapshots(snapshots)
+        sink.write_jobs(jobs)
+        sink.close()
+    return len(collector.events) + len(snapshots) + len(jobs)
+
+
+def measure_ratios(repeat: int) -> dict:
+    """Stack us/job and output us/row over kernel us/event, best of ``repeat`` interleaved runs."""
     from repro.experiments.bench import grid_end_to_end, timeout_churn
 
     def seconds(fn, *args) -> float:
@@ -59,17 +122,32 @@ def measure_e2e_ratio(repeat: int) -> dict:
         fn(*args)
         return time.perf_counter() - started
 
-    job_s, event_s = float("inf"), float("inf")
+    collector, jobs = synthetic_run()
+    rows = 0
+    job_s = row_s = event_s = float("inf")
     for _ in range(max(1, repeat)):
         job_s = min(job_s, seconds(grid_end_to_end, E2E_JOBS))
+        with tempfile.TemporaryDirectory() as directory:
+            started = time.perf_counter()
+            rows = write_outputs(collector, jobs, Path(directory))
+            row_s = min(row_s, time.perf_counter() - started)
         event_s = min(event_s, seconds(timeout_churn, *CHURN_ARGS))
     us_per_job = job_s / E2E_JOBS * 1e6
+    us_per_row = row_s / rows * 1e6
     us_per_event = event_s / (CHURN_ARGS[0] * CHURN_ARGS[1]) * 1e6
     return {
-        "jobs": E2E_JOBS,
-        "us_per_job": round(us_per_job, 2),
-        "us_per_event": round(us_per_event, 4),
-        "ratio": round(us_per_job / us_per_event, 1),
+        "e2e_ratio": {
+            "jobs": E2E_JOBS,
+            "us_per_job": round(us_per_job, 2),
+            "us_per_event": round(us_per_event, 4),
+            "ratio": round(us_per_job / us_per_event, 1),
+        },
+        "output_ratio": {
+            "rows": rows,
+            "us_per_row": round(us_per_row, 2),
+            "us_per_event": round(us_per_event, 4),
+            "ratio": round(us_per_row / us_per_event, 2),
+        },
     }
 
 
@@ -85,7 +163,7 @@ def measure(scale: float, repeat: int) -> dict:
         "python": platform.python_version(),
         "rates": {r.workload: round(r.events_per_second, 1) for r in results},
         "checks": {r.workload: r.check for r in results},
-        "e2e_ratio": measure_e2e_ratio(repeat),
+        **measure_ratios(repeat),
     }
 
 
@@ -127,17 +205,17 @@ def compare(current: dict, baseline: dict) -> int:
                     f"{workload}: {rate:,.0f} ev/s vs baseline {base_rate:,.0f} ev/s ok"
                 )
 
-    # Ratio gate: machine-independent, so it never skips.
-    ratio, ceiling = current["e2e_ratio"]["ratio"], baseline.get("e2e_ratio_ceiling")
-    if ceiling is None:
-        failures.append("baseline has no e2e_ratio_ceiling; re-run --write-baseline")
-    elif ratio > ceiling:
-        failures.append(
-            f"end-to-end ratio {ratio:.1f} (us/job over kernel us/event) is above the "
-            f"committed ceiling {ceiling:.1f}: the stack got slower relative to the kernel"
-        )
-    else:
-        notes.append(f"end-to-end ratio {ratio:.1f} vs ceiling {ceiling:.1f} ok")
+    # Ratio gates: machine-independent, so they never skip.
+    for key, (ceiling_key, meaning) in RATIO_GATES.items():
+        ratio, ceiling = current[key]["ratio"], baseline.get(ceiling_key)
+        if ceiling is None:
+            failures.append(f"baseline has no {ceiling_key}; re-run --write-baseline")
+        elif ratio > ceiling:
+            failures.append(
+                f"{key} {ratio:.1f} is above the committed ceiling {ceiling:.1f}: {meaning}"
+            )
+        else:
+            notes.append(f"{key} {ratio:.1f} vs ceiling {ceiling:.1f} ok")
 
     for note in notes:
         print(f"  {note}")
@@ -174,15 +252,20 @@ def main() -> int:
     print(f"recorded {LATEST_PATH.relative_to(REPO_ROOT)}:")
     for workload, rate in sorted(current["rates"].items()):
         print(f"  {workload}: {rate:,.0f} events/s")
-    e2e = current["e2e_ratio"]
+    e2e, output = current["e2e_ratio"], current["output_ratio"]
     print(
         f"  grid_end_to_end: {e2e['us_per_job']:.1f} us/job over timeout_churn "
         f"{e2e['us_per_event']:.3f} us/event = ratio {e2e['ratio']:.1f}"
     )
+    print(
+        f"  output_rows: {output['us_per_row']:.2f} us/row ({output['rows']} rows to CSV + SQLite) "
+        f"over timeout_churn {output['us_per_event']:.3f} us/event = ratio {output['ratio']:.2f}"
+    )
 
     if args.write_baseline:
         baseline = dict(current)
-        baseline["e2e_ratio_ceiling"] = round(e2e["ratio"] * (1.0 + E2E_HEADROOM), 1)
+        for key, (ceiling_key, _) in RATIO_GATES.items():
+            baseline[ceiling_key] = round(current[key]["ratio"] * (1.0 + RATIO_HEADROOM), 1)
         baseline["rates"] = {
             workload: round(rate * (1.0 - args.baseline_margin), 1)
             for workload, rate in current["rates"].items()

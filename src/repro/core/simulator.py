@@ -19,7 +19,9 @@ together exactly as the paper's architecture figure describes: input layer
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,13 +39,8 @@ from repro.core.session import SimulationSession
 from repro.core.site import SiteRuntime
 from repro.des import Environment
 from repro.monitoring.collector import MonitoringCollector
-from repro.monitoring.csv_export import (
-    CSVSink,
-    export_events_csv,
-    export_jobs_csv,
-    export_snapshots_csv,
-)
-from repro.monitoring.events import SiteSnapshot
+from repro.monitoring.csv_export import CSVSink
+from repro.monitoring.events import SiteSnapshot, snapshot_row
 from repro.monitoring.sqlite_store import SQLiteStore
 from repro.platform.builder import build_platform
 from repro.platform.platform import Platform
@@ -233,11 +230,7 @@ class Simulator:
         if not monitoring.keep_in_memory:
             # Without retention the post-run export below would have nothing
             # to read, so the configured outputs stream live instead.
-            output = self.execution.output
-            if output.sqlite_path:
-                self._live_sinks.append(SQLiteStore(output.sqlite_path))
-            if output.csv_directory:
-                self._live_sinks.append(CSVSink(output.csv_directory))
+            self._live_sinks = self._open_sinks(self.execution.output.sqlite_path)
             for sink in self._live_sinks:
                 self.collector.attach(sink)
         self.data_manager = (
@@ -302,20 +295,24 @@ class Simulator:
             self._record_snapshots()
 
     def _record_snapshots(self) -> None:
-        for site in self.sites.values():
-            self.collector.record_snapshot(
+        now = self.env.now
+        pending = len(self.server.pending)
+        self.collector.record_snapshots(
+            [
                 SiteSnapshot(
-                    time=self.env.now,
+                    time=now,
                     site=site.name,
                     total_cores=site.total_cores,
                     available_cores=site.available_cores,
                     running_jobs=site.running_jobs,
                     queued_jobs=site.queued_jobs,
-                    pending_jobs=len(self.server.pending),
+                    pending_jobs=pending,
                     finished_jobs=site.finished_jobs,
                     failed_jobs=site.failed_jobs,
                 )
-            )
+                for site in self.sites.values()
+            ]
+        )
 
     # -- checkpoint support -----------------------------------------------------
     def clone(self) -> "Simulator":
@@ -458,31 +455,41 @@ class Simulator:
         self._live_sinks = []
 
     # -- output layer ---------------------------------------------------------------
+    def _open_sinks(self, sqlite_path: Optional[str]) -> List:
+        """The configured output sinks, the SQLite one writing ``sqlite_path``."""
+        sinks: List = []
+        if sqlite_path:
+            sinks.append(SQLiteStore(sqlite_path))
+        if self.execution.output.csv_directory:
+            sinks.append(CSVSink(self.execution.output.csv_directory))
+        return sinks
+
     def _write_outputs(self, result: SimulationResult) -> None:
-        output = self.execution.output
         collector = result.collector
         collector.flush()
-        if self._live_sinks:
-            # Streaming mode (keep_in_memory=False): events/snapshots were
-            # written live in batches; only the job summaries remain.
-            for sink in self._live_sinks:
-                if isinstance(sink, SQLiteStore):
-                    sink.write_jobs(result.jobs)
-            self._close_live_sinks()
-            if output.csv_directory:
-                export_jobs_csv(result.jobs, f"{output.csv_directory}/jobs.csv")
-            return
-        if output.sqlite_path:
-            with SQLiteStore(output.sqlite_path) as store:
-                store.write_batch(collector.events.rows())
-                for snapshot in collector.snapshots:
-                    store.write_snapshot(snapshot)
-                store.write_jobs(result.jobs)
-        if output.csv_directory:
-            base = output.csv_directory
-            export_events_csv(collector.events, f"{base}/events.csv")
-            export_snapshots_csv(collector.snapshots, f"{base}/snapshots.csv")
-            export_jobs_csv(result.jobs, f"{base}/jobs.csv")
+        sqlite_path = self.execution.output.sqlite_path
+        loading = None
+        if collector.keep_in_memory:
+            # A retained run feeds the sinks a streamed run fed as it went,
+            # one batch each.  The database is loaded beside its path and
+            # renamed over it: a re-used path then holds this run's rows only
+            # (as the truncated CSVs do), and a crash mid-export never leaves
+            # a half-loaded database.
+            if sqlite_path:
+                loading = f"{sqlite_path}.tmp"
+                Path(loading).unlink(missing_ok=True)
+            self._live_sinks = self._open_sinks(loading)
+            if self._live_sinks:
+                events = collector.events.rows()
+                snapshots = list(map(snapshot_row, collector.snapshots))
+                for sink in self._live_sinks:
+                    sink.write_batch(events)
+                    sink.write_snapshots(snapshots)
+        for sink in self._live_sinks:
+            sink.write_jobs(result.jobs)
+        self._close_live_sinks()
+        if loading:
+            os.replace(loading, sqlite_path)
 
     def __repr__(self) -> str:
         try:

@@ -10,7 +10,8 @@ dataset that doubles as ML training data.
 * :class:`~repro.monitoring.collector.MonitoringCollector` -- hooks called by
   the simulation core on every transition + periodic snapshots.
 * :class:`~repro.monitoring.sqlite_store.SQLiteStore` /
-  :func:`~repro.monitoring.csv_export.export_csv` -- persistence back-ends.
+  :class:`~repro.monitoring.csv_export.CSVSink` -- persistence back-ends fed
+  row tuples in the column order :mod:`repro.monitoring.events` defines.
 * :class:`~repro.monitoring.dashboard.Dashboard` -- textual real-time view of
   per-site load (the reproduction of the web dashboard in Figure 5).
 """

@@ -27,9 +27,9 @@ of silently returning an empty dataset.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Protocol, Sequence
 
-from repro.monitoring.events import EventRecord, SiteSnapshot
+from repro.monitoring.events import EventRecord, SiteSnapshot, snapshot_row
 from repro.monitoring.trace_buffer import TraceBuffer
 from repro.utils.errors import MonitoringError
 from repro.workload.job import Job, JobState
@@ -83,6 +83,8 @@ class MonitoringCollector:
         #: Columnar event storage (all retained rows; pending rows when not retained).
         self.buffer = TraceBuffer()
         self._snapshots: List[SiteSnapshot] = []
+        #: Most recent snapshot of every site (kept without retention too).
+        self._latest: Dict[str, SiteSnapshot] = {}
         self._sinks: List[_Sink] = []
         #: Next event id / total transitions seen (sampling included).
         self._seen = 0
@@ -173,14 +175,32 @@ class MonitoringCollector:
             self._flush_events()
 
     def record_snapshot(self, snapshot: SiteSnapshot) -> SiteSnapshot:
-        """Record one periodic site-level snapshot (low rate: written through)."""
-        if self.muted:
-            return snapshot
-        if self.keep_in_memory:
-            self._snapshots.append(snapshot)
-        for sink in self._sinks:
-            sink.write_snapshot(snapshot)
+        """Record one periodic site-level snapshot (see :meth:`record_snapshots`)."""
+        self.record_snapshots((snapshot,))
         return snapshot
+
+    def record_snapshots(self, snapshots: Sequence[SiteSnapshot]) -> None:
+        """Record one tick's site snapshots (low rate: written through).
+
+        Sinks with a ``write_snapshots`` method receive the tick as one batch
+        of ``SNAPSHOT_FIELDS`` row tuples; ``write_snapshot`` per object
+        remains supported for legacy sinks.
+        """
+        if self.muted:
+            return
+        if self.keep_in_memory:
+            self._snapshots.extend(snapshots)
+        latest = self._latest
+        for snapshot in snapshots:
+            latest[snapshot.site] = snapshot
+        rows = list(map(snapshot_row, snapshots)) if self._sinks else ()
+        for sink in self._sinks:
+            write_snapshots = getattr(sink, "write_snapshots", None)
+            if write_snapshots is not None:
+                write_snapshots(rows)
+            else:  # legacy per-record sink
+                for snapshot in snapshots:
+                    sink.write_snapshot(snapshot)
 
     def _flush_events(self) -> None:
         """Hand all unflushed buffered rows to the sinks, batched."""
@@ -209,7 +229,7 @@ class MonitoringCollector:
         self._flush_events()
 
     # -- checkpoint support ------------------------------------------------------
-    # cgsim: lint-ignore[snap-field-coverage] listener callbacks and sink objects are re-registered by the restoring session
+    # cgsim: lint-ignore[snap-field-coverage] listener callbacks and sink objects are re-registered by the restoring session; the latest-snapshot dict is rebuilt by the replay, like the retained rows
     def snapshot(self) -> dict:
         """Capture the collector's counters and buffer high-water marks.
 
@@ -296,14 +316,11 @@ class MonitoringCollector:
     def latest_snapshot_per_site(self) -> Dict[str, SiteSnapshot]:
         """The most recent snapshot of every site (dashboard input).
 
-        Best-effort by design: reads the internal snapshot list directly so a
-        dashboard over an unretained collector renders empty instead of
-        aborting a finished run.
+        A copy of a site -> snapshot dict kept up to date as snapshots are
+        recorded, so a dashboard frame costs O(sites) however long the run
+        and renders for streamed runs (``keep_in_memory=False``) as well.
         """
-        latest: Dict[str, SiteSnapshot] = {}
-        for snapshot in self._snapshots:
-            latest[snapshot.site] = snapshot
-        return latest
+        return dict(self._latest)
 
     def __len__(self) -> int:
         """Rows currently held in the buffer."""

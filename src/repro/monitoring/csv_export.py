@@ -4,15 +4,14 @@ The output layer "supports CSV exports for statistical analysis"; these
 helpers write the event-level dataset, the periodic snapshots and the final
 per-job summaries produced by a simulation run into plain CSV files.
 
-Two flavours exist:
+Two flavours exist, both fed row tuples in ``*_FIELDS`` order (the row
+contract of :mod:`repro.monitoring.events`):
 
 * the one-shot :func:`export_events_csv` / :func:`export_snapshots_csv` /
-  :func:`export_jobs_csv` functions, used after a run on retained data --
-  when handed a columnar :class:`~repro.monitoring.trace_buffer.TraceBuffer`
-  they emit its row tuples through one ``writerows`` call instead of a
-  ``DictWriter`` round-trip per record;
-* the streaming :class:`CSVSink`, a collector sink with a batched
-  ``write_batch`` used by runs that do not retain events in memory.
+  :func:`export_jobs_csv` functions, used after a run on retained data: a
+  header row plus one ``csv.writer.writerows`` call each;
+* :class:`CSVSink`, the collector sink whose ``write_batch`` /
+  ``write_snapshots`` append the batches a simulation hands over.
 """
 
 from __future__ import annotations
@@ -21,61 +20,41 @@ import csv
 from pathlib import Path
 from typing import IO, Iterable, List, Optional, Union
 
-from repro.monitoring.events import EVENT_FIELDS, SNAPSHOT_FIELDS, EventRecord, SiteSnapshot
+from repro.monitoring.events import (
+    EVENT_FIELDS,
+    JOB_FIELDS,
+    SNAPSHOT_FIELDS,
+    EventRecord,
+    SiteSnapshot,
+    event_row,
+    job_row,
+    snapshot_row,
+)
 from repro.workload.job import Job
 
 __all__ = ["CSVSink", "export_events_csv", "export_snapshots_csv", "export_jobs_csv"]
 
 PathLike = Union[str, Path]
 
-#: Column order of per-job summary exports.
-JOB_FIELDS: List[str] = [
-    "job_id",
-    "task_id",
-    "cores",
-    "work",
-    "submission_time",
-    "target_site",
-    "assigned_site",
-    "state",
-    "assigned_time",
-    "start_time",
-    "end_time",
-    "queue_time",
-    "walltime",
-    "true_walltime",
-    "true_queue_time",
-    "failure_reason",
-]
 
-
-def _write_rows(path: PathLike, fieldnames: List[str], rows: Iterable[dict]) -> Path:
+def _export(path: PathLike, fieldnames: List[str], rows: Iterable[tuple]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(handle)
+        writer.writerow(fieldnames)
+        writer.writerows(rows)
     return path
 
 
 def export_events_csv(events, path: PathLike) -> Path:
     """Write event-level records (Table 1 rows) to ``path``.
 
-    ``events`` may be a :class:`TraceBuffer` (columnar fast path) or any
-    iterable of :class:`EventRecord`.
+    ``events`` may be a :class:`TraceBuffer` (whose columns become row tuples
+    without materialising a record) or any iterable of :class:`EventRecord`.
     """
     rows = getattr(events, "rows", None)
-    if rows is not None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(EVENT_FIELDS)
-            writer.writerows(rows())
-        return path
-    return _write_rows(path, EVENT_FIELDS, (event.to_row() for event in events))
+    return _export(path, EVENT_FIELDS, rows() if rows is not None else map(event_row, events))
 
 
 def export_snapshots_csv(snapshots: Iterable[SiteSnapshot], path: PathLike) -> Path:
@@ -88,7 +67,7 @@ def export_snapshots_csv(snapshots: Iterable[SiteSnapshot], path: PathLike) -> P
     ``export_snapshots_csv(result.collector.snapshots, "snapshots.csv")``
     after a monitored :meth:`~repro.core.Simulator.run`.
     """
-    return _write_rows(path, SNAPSHOT_FIELDS, (snapshot.to_row() for snapshot in snapshots))
+    return _export(path, SNAPSHOT_FIELDS, map(snapshot_row, snapshots))
 
 
 def export_jobs_csv(jobs: Iterable[Job], path: PathLike) -> Path:
@@ -100,18 +79,19 @@ def export_jobs_csv(jobs: Iterable[Job], path: PathLike) -> Path:
     e.g. ``export_jobs_csv(result.jobs, "jobs.csv")`` after a
     :meth:`~repro.core.Simulator.run`.
     """
-    return _write_rows(path, JOB_FIELDS, (job.to_record() for job in jobs))
+    return _export(path, JOB_FIELDS, map(job_row, jobs))
 
 
 class CSVSink:
-    """Streaming collector sink writing ``events.csv`` / ``snapshots.csv``.
+    """Collector sink writing ``events.csv`` / ``snapshots.csv`` / ``jobs.csv``.
 
-    Intended for runs with ``keep_in_memory=False``: the batching collector
-    hands over row-tuple batches which go straight through
-    ``csv.writer.writerows``.  Both files are created (with their header
-    rows) at construction so a run that records nothing still leaves the
-    same files behind as the retained-export path; the sink must be
-    :meth:`close`\\ d (or used as a context manager) to flush.
+    Fed row-tuple batches which go straight through ``csv.writer.writerows``:
+    by the batching collector during a run with ``keep_in_memory=False``
+    (events per ``batch_size``, snapshots per tick), or all at once by the
+    post-run export of a retained run.  Both streamed files are created (with
+    their header rows) at construction so a run that records nothing still
+    leaves them behind; the sink must be :meth:`close`\\ d (or used as a
+    context manager) to flush.
     """
 
     def __init__(self, directory: PathLike) -> None:
@@ -135,13 +115,19 @@ class CSVSink:
 
     def write_event(self, record: EventRecord) -> None:
         """Append one event row (legacy per-record path)."""
-        row = record.to_row()
-        self._event_writer.writerow([row[field] for field in EVENT_FIELDS])
+        self.write_batch((event_row(record),))
+
+    def write_snapshots(self, rows: Iterable[tuple]) -> None:
+        """Append a batch of snapshot rows (``SNAPSHOT_FIELDS`` order)."""
+        self._snapshot_writer.writerows(rows)
 
     def write_snapshot(self, snapshot: SiteSnapshot) -> None:
         """Append one site snapshot row."""
-        row = snapshot.to_row()
-        self._snapshot_writer.writerow([row[field] for field in SNAPSHOT_FIELDS])
+        self.write_snapshots((snapshot_row(snapshot),))
+
+    def write_jobs(self, jobs: Iterable[Job]) -> None:
+        """Write the final per-job summaries to ``jobs.csv`` beside the two streams."""
+        export_jobs_csv(jobs, self.directory / "jobs.csv")
 
     # -- lifecycle -----------------------------------------------------------
     def flush(self) -> None:

@@ -8,14 +8,31 @@ ML dataset generation.
 
 :class:`SiteSnapshot` is the periodic (timestep) site-level record used by
 the dashboard and by aggregate utilisation analyses.
+
+This module also owns the output layer's row contract: a row is a plain
+tuple in ``EVENT_FIELDS`` / ``SNAPSHOT_FIELDS`` / ``JOB_FIELDS`` order.  The
+builders ``event_row`` / ``snapshot_row`` / ``job_row`` are derived from those
+lists (a column is declared once), and every writer -- CSV exports, the CSV
+sink, the SQLite store -- hands such tuples to one ``writerows`` /
+``executemany``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Dict, List
 
-__all__ = ["EventRecord", "SiteSnapshot", "EVENT_FIELDS", "SNAPSHOT_FIELDS"]
+__all__ = [
+    "EventRecord",
+    "SiteSnapshot",
+    "EVENT_FIELDS",
+    "SNAPSHOT_FIELDS",
+    "JOB_FIELDS",
+    "event_row",
+    "snapshot_row",
+    "job_row",
+]
 
 
 @dataclass
@@ -63,9 +80,8 @@ class EventRecord:
 
     def to_row(self) -> dict:
         """Flatten to a plain dict (``extra`` merged in with an ``x_`` prefix)."""
-        row = asdict(self)
-        extra = row.pop("extra")
-        for key, value in extra.items():
+        row = dict(zip(EVENT_FIELDS, event_row(self)))
+        for key, value in self.extra.items():
             row[f"x_{key}"] = value
         return row
 
@@ -92,16 +108,12 @@ class SiteSnapshot:
     @property
     def node_pressure(self) -> float:
         """Fraction of the site's cores in use (the dashboard's node pressure)."""
-        if self.total_cores == 0:
-            return 0.0
-        return self.used_cores / self.total_cores
+        total = self.total_cores
+        return (total - self.available_cores) / total if total else 0.0
 
     def to_row(self) -> dict:
         """Flatten to a plain dict for CSV/SQLite export."""
-        row = asdict(self)
-        row["used_cores"] = self.used_cores
-        row["node_pressure"] = self.node_pressure
-        return row
+        return dict(zip(SNAPSHOT_FIELDS, snapshot_row(self)))
 
 
 #: Column order of event rows in CSV/SQLite exports.
@@ -131,3 +143,31 @@ SNAPSHOT_FIELDS: List[str] = [
     "failed_jobs",
     "node_pressure",
 ]
+
+#: Column order of per-job summary rows in CSV exports (the SQLite ``jobs``
+#: table stores all of them but ``target_site``).
+JOB_FIELDS: List[str] = [
+    "job_id",
+    "task_id",
+    "cores",
+    "work",
+    "submission_time",
+    "target_site",
+    "assigned_site",
+    "state",
+    "assigned_time",
+    "start_time",
+    "end_time",
+    "queue_time",
+    "walltime",
+    "true_walltime",
+    "true_queue_time",
+    "failure_reason",
+]
+
+#: ``event_row(record)`` -> tuple in ``EVENT_FIELDS`` order (``extra`` is not exported).
+event_row = attrgetter(*EVENT_FIELDS)
+#: ``snapshot_row(snapshot)`` -> tuple in ``SNAPSHOT_FIELDS`` order.
+snapshot_row = attrgetter(*SNAPSHOT_FIELDS)
+#: ``job_row(job)`` -> tuple in ``JOB_FIELDS`` order (a :class:`~repro.workload.job.Job`).
+job_row = attrgetter(*("state.value" if name == "state" else name for name in JOB_FIELDS))

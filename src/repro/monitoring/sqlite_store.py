@@ -5,22 +5,40 @@ The CGSim output layer "collects and stores results in SQLite databases".
 rows and final job summaries into three tables of one SQLite file; it also
 offers simple read-back queries so post-processing scripts (and the tests)
 can verify what was stored.
+
+Rows arrive as tuples in ``*_FIELDS`` order (the row contract of
+:mod:`repro.monitoring.events`), one ``executemany`` per batch, and the file
+is loaded tables, then rows, then indexes (built by :meth:`SQLiteStore.close`).
 """
 
 from __future__ import annotations
 
 import sqlite3
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
-from repro.monitoring.events import EventRecord, SiteSnapshot
+from repro.monitoring.events import (
+    EVENT_FIELDS,
+    JOB_FIELDS,
+    SNAPSHOT_FIELDS,
+    EventRecord,
+    SiteSnapshot,
+    event_row,
+    job_row,
+    snapshot_row,
+)
 from repro.workload.job import Job
 
 __all__ = ["SQLiteStore"]
 
 PathLike = Union[str, Path]
 
-_SCHEMA = """
+# Both scripts open a transaction and leave it open: run bare, every CREATE
+# would be committed (and synced) on its own; this way the tables become
+# durable with the first rows and the indexes with the final commit.
+_TABLES = """
+BEGIN;
 CREATE TABLE IF NOT EXISTS events (
     event_id INTEGER PRIMARY KEY,
     time REAL NOT NULL,
@@ -61,10 +79,29 @@ CREATE TABLE IF NOT EXISTS jobs (
     true_queue_time REAL,
     failure_reason TEXT
 );
+"""
+_INDEXES = """
+BEGIN;
 CREATE INDEX IF NOT EXISTS idx_events_site ON events (site);
 CREATE INDEX IF NOT EXISTS idx_events_job ON events (job_id);
 CREATE INDEX IF NOT EXISTS idx_snapshots_site ON snapshots (site);
 """
+
+
+def _insert(verb: str, table: str, columns: Sequence[str]) -> str:
+    marks = ", ".join("?" * len(columns))
+    return f"{verb} INTO {table} ({', '.join(columns)}) VALUES ({marks})"
+
+
+#: Stored columns: the contract's, minus the derivable snapshot gauges and the
+#: jobs' ``target_site`` (an input, CSV only); the getters cut a row down to them.
+_SNAPSHOT_COLUMNS = [n for n in SNAPSHOT_FIELDS if n not in ("used_cores", "node_pressure")]
+_JOB_COLUMNS = [n for n in JOB_FIELDS if n != "target_site"]
+_stored_snapshot = itemgetter(*map(SNAPSHOT_FIELDS.index, _SNAPSHOT_COLUMNS))
+_stored_job = itemgetter(*map(JOB_FIELDS.index, _JOB_COLUMNS))
+_INSERT_EVENTS = _insert("INSERT OR REPLACE", "events", EVENT_FIELDS)
+_INSERT_SNAPSHOTS = _insert("INSERT", "snapshots", _SNAPSHOT_COLUMNS)
+_INSERT_JOBS = _insert("INSERT OR REPLACE", "jobs", _JOB_COLUMNS)
 
 
 class SQLiteStore:
@@ -79,84 +116,35 @@ class SQLiteStore:
         if self.path != ":memory:":
             Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(self.path)
-        self._conn.executescript(_SCHEMA)
-        self._conn.commit()
+        # Opening a finished database to read it back must not leave a
+        # transaction (and its lock) open, so only a new file gets tables.
+        if not self._conn.execute("SELECT name FROM sqlite_master").fetchall():
+            self._conn.executescript(_TABLES)
 
     # -- sink protocol -------------------------------------------------------------
-    def write_event(self, record: EventRecord) -> None:
-        """Insert one event-level row."""
-        self._conn.execute(
-            "INSERT OR REPLACE INTO events VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                record.event_id,
-                record.time,
-                record.job_id,
-                record.state,
-                record.site,
-                record.available_cores,
-                record.pending_jobs,
-                record.assigned_jobs,
-                record.finished_jobs,
-            ),
-        )
-
     def write_batch(self, rows: Iterable[tuple]) -> None:
         """Insert a batch of event rows (``EVENT_FIELDS`` order) via ``executemany``.
 
         This is the fast path the batching collector uses: one C-level
         ``executemany`` per batch instead of one ``execute`` per transition.
         """
-        self._conn.executemany(
-            "INSERT OR REPLACE INTO events VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)", rows
-        )
+        self._conn.executemany(_INSERT_EVENTS, rows)
+
+    def write_event(self, record: EventRecord) -> None:
+        """Insert one event-level row."""
+        self.write_batch((event_row(record),))
+
+    def write_snapshots(self, rows: Iterable[tuple]) -> None:
+        """Insert a batch of snapshot rows (``SNAPSHOT_FIELDS`` order)."""
+        self._conn.executemany(_INSERT_SNAPSHOTS, map(_stored_snapshot, rows))
 
     def write_snapshot(self, snapshot: SiteSnapshot) -> None:
         """Insert one site snapshot row."""
-        self._conn.execute(
-            "INSERT INTO snapshots (time, site, total_cores, available_cores, running_jobs,"
-            " queued_jobs, pending_jobs, finished_jobs, failed_jobs)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                snapshot.time,
-                snapshot.site,
-                snapshot.total_cores,
-                snapshot.available_cores,
-                snapshot.running_jobs,
-                snapshot.queued_jobs,
-                snapshot.pending_jobs,
-                snapshot.finished_jobs,
-                snapshot.failed_jobs,
-            ),
-        )
+        self.write_snapshots((snapshot_row(snapshot),))
 
     def write_jobs(self, jobs: Iterable[Job]) -> None:
         """Write (or update) the final per-job summary table."""
-        rows = []
-        for job in jobs:
-            record = job.to_record()
-            rows.append(
-                (
-                    record["job_id"],
-                    record["task_id"],
-                    record["cores"],
-                    record["work"],
-                    record["submission_time"],
-                    record["assigned_site"],
-                    record["state"],
-                    record["assigned_time"],
-                    record["start_time"],
-                    record["end_time"],
-                    record["queue_time"],
-                    record["walltime"],
-                    record["true_walltime"],
-                    record["true_queue_time"],
-                    record["failure_reason"],
-                )
-            )
-        self._conn.executemany(
-            "INSERT OR REPLACE INTO jobs VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            rows,
-        )
+        self._conn.executemany(_INSERT_JOBS, map(_stored_job, map(job_row, jobs)))
         self._conn.commit()
 
     # -- queries -----------------------------------------------------------------
@@ -202,7 +190,8 @@ class SQLiteStore:
         self._conn.commit()
 
     def close(self) -> None:
-        """Commit and close the underlying connection."""
+        """Build the indexes, commit and close the underlying connection."""
+        self._conn.executescript(_INDEXES)
         self._conn.commit()
         self._conn.close()
 

@@ -282,7 +282,7 @@ def _parabola(x):
 
 
 class TestBenchRegressionGate:
-    """The end-to-end ratio gate of scripts/check_bench_regression.py."""
+    """The machine-independent ratio gates of scripts/check_bench_regression.py."""
 
     @pytest.fixture(scope="class")
     def gate(self):
@@ -296,15 +296,43 @@ class TestBenchRegressionGate:
         return module
 
     @staticmethod
-    def current(ratio):
-        return {"cpu_count": 64, "scale": 0.05, "rates": {}, "e2e_ratio": {"ratio": ratio}}
+    def current(ratio, output_ratio=6.0):
+        return {"cpu_count": 64, "scale": 0.05, "rates": {}, "e2e_ratio": {"ratio": ratio},
+                "output_ratio": {"ratio": output_ratio}}
 
     def test_ratio_gate_applies_on_any_machine(self, gate, capsys):
         baseline = {"cpu_count": 1, "scale": 0.05, "rates": {"timeout_churn": 1.0},
-                    "e2e_ratio_ceiling": 100.0}
+                    "e2e_ratio_ceiling": 100.0, "output_ratio_ceiling": 10.0}
         assert gate.compare(self.current(80.0), baseline) == 0
         assert gate.compare(self.current(140.0), baseline) == 1
         assert "above the committed ceiling 100.0" in capsys.readouterr().err
+
+    def test_output_gate_fails_above_its_own_ceiling(self, gate, capsys):
+        baseline = {"cpu_count": 1, "scale": 0.05, "rates": {},
+                    "e2e_ratio_ceiling": 100.0, "output_ratio_ceiling": 10.0}
+        assert gate.compare(self.current(80.0, output_ratio=9.9), baseline) == 0
+        assert "output_ratio 9.9 vs ceiling 10.0 ok" in capsys.readouterr().out
+        assert gate.compare(self.current(80.0, output_ratio=17.0), baseline) == 1
+        err = capsys.readouterr().err
+        assert "output_ratio 17.0 is above the committed ceiling 10.0" in err
+        assert "e2e_ratio" not in err
+        del baseline["output_ratio_ceiling"]
+        assert gate.compare(self.current(80.0), baseline) == 1
+        assert "output_ratio_ceiling" in capsys.readouterr().err
+
+    def test_output_gate_workload_writes_every_row_to_both_sinks(self, gate, tmp_path, monkeypatch):
+        import sqlite3
+
+        monkeypatch.setattr(gate, "OUTPUT_SHAPE", (60, 3, 4, 10))
+        collector, jobs = gate.synthetic_run()
+        assert gate.write_outputs(collector, jobs, tmp_path) == 60 + 3 * 4 + 10
+        conn = sqlite3.connect(tmp_path / "run.sqlite")
+        counts = [conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                  for table in ("events", "snapshots", "jobs")]
+        conn.close()
+        assert counts == [60, 12, 10]
+        for name, rows in (("events.csv", 60), ("snapshots.csv", 12), ("jobs.csv", 10)):
+            assert len((tmp_path / "csv" / name).read_text().splitlines()) == rows + 1
 
     def test_baseline_without_a_ceiling_fails(self, gate, capsys):
         assert gate.compare(self.current(80.0), {"cpu_count": 1, "rates": {}}) == 1
@@ -315,3 +343,4 @@ class TestBenchRegressionGate:
 
         baseline = json.loads(gate.BASELINE_PATH.read_text(encoding="utf-8"))
         assert baseline["e2e_ratio_ceiling"] > 0
+        assert baseline["output_ratio_ceiling"] > 0

@@ -1,6 +1,7 @@
 """Tests for the monitoring/output layer (repro.monitoring)."""
 
 import csv
+import sqlite3
 
 import pytest
 
@@ -14,7 +15,14 @@ from repro.monitoring import (
     export_jobs_csv,
     export_snapshots_csv,
 )
-from repro.monitoring.events import EVENT_FIELDS, SNAPSHOT_FIELDS
+from repro.monitoring.events import (
+    EVENT_FIELDS,
+    JOB_FIELDS,
+    SNAPSHOT_FIELDS,
+    event_row,
+    job_row,
+    snapshot_row,
+)
 from repro.workload.job import Job, JobState
 
 
@@ -76,6 +84,50 @@ class TestSiteSnapshot:
         assert snapshot.node_pressure == 0.0
 
 
+class TestRowContract:
+    """Rows are tuples in ``*_FIELDS`` order; ``to_row`` dicts are built from them."""
+
+    def test_snapshot_row_and_dict(self):
+        snapshot = SiteSnapshot(
+            time=60.0, site="BNL", total_cores=100, available_cores=25,
+            running_jobs=10, queued_jobs=2, pending_jobs=1, finished_jobs=5, failed_jobs=3,
+        )
+        assert snapshot_row(snapshot) == (60.0, "BNL", 100, 25, 75, 10, 2, 1, 5, 3, 0.75)
+        assert snapshot.to_row() == dict(zip(SNAPSHOT_FIELDS, snapshot_row(snapshot)))
+
+    def test_zero_core_snapshot_row_has_zero_pressure(self):
+        snapshot = SiteSnapshot(
+            time=0.0, site="X", total_cores=0, available_cores=0,
+            running_jobs=0, queued_jobs=0, pending_jobs=0, finished_jobs=0, failed_jobs=0,
+        )
+        row = snapshot_row(snapshot)
+        assert row[SNAPSHOT_FIELDS.index("used_cores")] == 0
+        assert row[SNAPSHOT_FIELDS.index("node_pressure")] == 0.0
+
+    def test_event_row_and_dict(self):
+        extra = {"cores": 8.0, "nested": [1]}
+        record = EventRecord(
+            event_id=1, time=2.5, job_id=5, state="running", site="BNL",
+            available_cores=10, pending_jobs=0, assigned_jobs=2, finished_jobs=7, extra=extra,
+        )
+        assert event_row(record) == (1, 2.5, 5, "running", "BNL", 10, 0, 2, 7)
+        row = record.to_row()
+        assert list(row) == EVENT_FIELDS + ["x_cores", "x_nested"]
+        assert row["x_nested"] is extra["nested"]  # merged in, not deep-copied
+
+    def test_job_row(self):
+        job = Job(work=4.0, job_id=9, cores=2, task_id=3, target_site="CERN")
+        job.advance(JobState.ASSIGNED, 1.0, site="BNL")
+        job.advance(JobState.RUNNING, 2.0)
+        job.advance(JobState.FAILED, 5.0, reason="boom")
+        row = dict(zip(JOB_FIELDS, job_row(job)))
+        assert row == {key: job.to_record()[key] for key in JOB_FIELDS}
+        assert row["state"] == "failed" and row["failure_reason"] == "boom"
+        assert row["queue_time"] == 2.0 and row["walltime"] == 3.0
+        unstarted = dict(zip(JOB_FIELDS, job_row(Job(work=1.0, job_id=10))))
+        assert unstarted["task_id"] is None and unstarted["walltime"] is None
+
+
 class TestMonitoringCollector:
     def test_event_ids_are_monotonic(self):
         collector = make_collector_with_activity()
@@ -108,6 +160,51 @@ class TestMonitoringCollector:
         ))
         latest = collector.latest_snapshot_per_site()
         assert latest["BNL"].time == 100.0
+
+    def test_latest_snapshot_is_kept_without_retention_and_returned_as_a_copy(self):
+        collector = MonitoringCollector(keep_in_memory=False)
+        for time in (60.0, 120.0):
+            collector.record_snapshot(SiteSnapshot(
+                time=time, site="BNL", total_cores=100, available_cores=90,
+                running_jobs=0, queued_jobs=0, pending_jobs=0, finished_jobs=0, failed_jobs=0,
+            ))
+        latest = collector.latest_snapshot_per_site()
+        assert latest["BNL"].time == 120.0
+        latest.clear()
+        assert collector.latest_snapshot_per_site()["BNL"].time == 120.0
+        assert "BNL" in Dashboard(collector).render()
+
+    def test_a_tick_reaches_batching_sinks_as_one_batch_of_rows(self):
+        collector = MonitoringCollector(keep_in_memory=False)
+        batches, singles = [], []
+
+        class BatchSink:
+            def write_event(self, record): ...
+
+            def write_snapshot(self, snapshot):
+                raise AssertionError("a sink with write_snapshots gets batches only")
+
+            def write_snapshots(self, rows):
+                batches.append(list(rows))
+
+        class LegacySink:
+            def write_event(self, record): ...
+
+            def write_snapshot(self, snapshot):
+                singles.append(snapshot)
+
+        collector.attach(BatchSink())
+        collector.attach(LegacySink())
+        tick = [
+            SiteSnapshot(
+                time=300.0, site=site, total_cores=10, available_cores=4,
+                running_jobs=3, queued_jobs=0, pending_jobs=0, finished_jobs=1, failed_jobs=0,
+            )
+            for site in ("A", "B", "C")
+        ]
+        collector.record_snapshots(tick)
+        assert batches == [[snapshot_row(s) for s in tick]]
+        assert singles == tick
 
     def test_keep_in_memory_false_still_feeds_sinks(self):
         collector = MonitoringCollector(keep_in_memory=False)
@@ -153,6 +250,39 @@ class TestSQLiteStore:
         assert store.count_events() == 4
         assert len(store.events_for_site("BNL")) == 3
         store.close()
+
+    def test_bulk_and_per_object_snapshot_writes_fill_the_same_table(self, tmp_path):
+        snapshots = [
+            SiteSnapshot(
+                time=300.0 * tick, site=site, total_cores=cores, available_cores=tick % (cores + 1),
+                running_jobs=tick, queued_jobs=1, pending_jobs=2, finished_jobs=tick, failed_jobs=0,
+            )
+            for tick in range(1, 6)
+            for site, cores in (("A", 16), ("B", 0))
+        ]
+        with SQLiteStore(tmp_path / "bulk.sqlite") as bulk:
+            bulk.write_snapshots(map(snapshot_row, snapshots))
+        with SQLiteStore(tmp_path / "loop.sqlite") as loop:
+            for snapshot in snapshots:
+                loop.write_snapshot(snapshot)
+        dumps = []
+        for name in ("bulk.sqlite", "loop.sqlite"):
+            conn = sqlite3.connect(tmp_path / name)
+            dumps.append(list(conn.iterdump()))
+            conn.close()
+        assert dumps[0] == dumps[1]
+        assert sum(line.startswith('INSERT INTO "snapshots"') for line in dumps[0]) == 10
+
+    def test_reading_a_finished_database_back_holds_no_lock(self, tmp_path):
+        path = tmp_path / "shared.sqlite"
+        writer = SQLiteStore(path)
+        writer.write_jobs([Job(work=1, job_id=1)])
+        reader = SQLiteStore(path)
+        assert reader.count_jobs() == 1
+        writer.write_jobs([Job(work=1, job_id=2)])  # commits while the reader is open
+        assert reader.count_jobs() == 2
+        writer.close()
+        reader.close()
 
     def test_jobs_table(self):
         store = SQLiteStore(":memory:")
