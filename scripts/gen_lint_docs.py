@@ -18,10 +18,11 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import inspect
 import sys
 from pathlib import Path
+
+import _docgen
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -96,30 +97,10 @@ def render_page(current: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 if the committed block is out of sync")
-    args = parser.parse_args(argv)
-
-    current = OUTPUT.read_text(encoding="utf-8") if OUTPUT.exists() else ""
-    if not current:
-        print(f"{OUTPUT} does not exist", file=sys.stderr)
-        return 1
-    rendered = render_page(current)
-    if args.check:
-        if current != rendered:
-            print(
-                f"{OUTPUT} rule catalogue is out of sync with the "
-                "repro.lint rule docstrings; "
-                "regenerate with: python scripts/gen_lint_docs.py",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"{OUTPUT} is in sync ({len(current.splitlines())} lines)")
-        return 0
-    OUTPUT.write_text(rendered, encoding="utf-8")
-    print(f"wrote {OUTPUT} ({len(rendered.splitlines())} lines)")
-    return 0
+    return _docgen.run(
+        __doc__, lambda: {OUTPUT: render_page(_docgen.committed(OUTPUT))},
+        script="gen_lint_docs.py", what="block",
+        stale="rule catalogue is out of sync with the repro.lint rule docstrings", argv=argv)
 
 
 if __name__ == "__main__":

@@ -20,10 +20,11 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import sys
 from pathlib import Path
+
+import _docgen
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -115,38 +116,9 @@ def render_all() -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 if the committed pages are out of sync")
-    args = parser.parse_args(argv)
-
-    pages = render_all()
-    if args.check:
-        stale = []
-        for name, rendered in pages.items():
-            path = OUTPUT_DIR / name
-            current = path.read_text(encoding="utf-8") if path.exists() else ""
-            if current != rendered:
-                stale.append(str(path.relative_to(REPO_ROOT)))
-        extra = [
-            str(path.relative_to(REPO_ROOT))
-            for path in sorted(OUTPUT_DIR.glob("*.md"))
-            if path.name not in pages
-        ] if OUTPUT_DIR.exists() else []
-        if stale or extra:
-            for name in stale:
-                print(f"{name} is out of sync", file=sys.stderr)
-            for name in extra:
-                print(f"{name} is not a generated page (remove it)", file=sys.stderr)
-            print("regenerate with: python scripts/gen_reference_docs.py", file=sys.stderr)
-            return 1
-        print(f"docs/reference is in sync ({len(pages)} pages)")
-        return 0
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    for name, rendered in pages.items():
-        (OUTPUT_DIR / name).write_text(rendered, encoding="utf-8")
-    print(f"wrote {len(pages)} pages to {OUTPUT_DIR}")
-    return 0
+    return _docgen.run(
+        __doc__, lambda: {OUTPUT_DIR / name: text for name, text in render_all().items()},
+        script="gen_reference_docs.py", what="pages", tree=OUTPUT_DIR, argv=argv)
 
 
 if __name__ == "__main__":

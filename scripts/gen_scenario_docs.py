@@ -15,9 +15,10 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+
+import _docgen
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -156,27 +157,9 @@ def render_cookbook() -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 if the committed page is out of sync")
-    args = parser.parse_args(argv)
-
-    rendered = render_cookbook()
-    if args.check:
-        current = OUTPUT.read_text(encoding="utf-8") if OUTPUT.exists() else ""
-        if current != rendered:
-            print(
-                f"{OUTPUT} is out of sync with the bundled packs; "
-                "regenerate with: python scripts/gen_scenario_docs.py",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"{OUTPUT} is in sync ({len(rendered.splitlines())} lines)")
-        return 0
-    OUTPUT.parent.mkdir(parents=True, exist_ok=True)
-    OUTPUT.write_text(rendered, encoding="utf-8")
-    print(f"wrote {OUTPUT} ({len(rendered.splitlines())} lines)")
-    return 0
+    return _docgen.run(
+        __doc__, lambda: {OUTPUT: render_cookbook()}, script="gen_scenario_docs.py",
+        stale="is out of sync with the bundled packs", argv=argv)
 
 
 if __name__ == "__main__":

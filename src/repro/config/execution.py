@@ -7,11 +7,10 @@ monitoring cadence, random seeds, and where outputs go.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
-from repro.utils.errors import ConfigurationError
-from repro.utils.units import parse_duration
+from repro.utils.fieldspec import check_declared, declare, fail, load
 
 __all__ = ["MonitoringConfig", "OutputConfig", "StopConfig", "ExecutionConfig"]
 
@@ -56,43 +55,46 @@ class StopConfig:
     'failure_rate'
     """
 
-    max_simulated_time: Optional[float] = None
-    max_finished_jobs: Optional[int] = None
-    max_failed_jobs: Optional[int] = None
-    metric: Optional[str] = None
-    op: str = ">="
-    value: Optional[float] = None
-    check_every: int = 1
+    max_simulated_time: Optional[float] = declare(
+        "Stop once the clock reaches this horizon.", default=None, quantity="duration", gt=0)
+    max_finished_jobs: Optional[int] = declare(
+        "Stop after this many finished jobs.", default=None, ge=1)
+    max_failed_jobs: Optional[int] = declare(
+        "Stop after this many failed jobs.", default=None, ge=1)
+    metric: Optional[str] = declare("Metric-predicate field name.", default=None)
+    op: str = declare("Comparison operator of the metric predicate.", default=">=",
+                      choices=STOP_OPS)
+    value: Optional[float] = declare("Metric-predicate threshold.", default=None)
+    check_every: int = declare("Recompute metrics every N job completions.", default=1,
+                               ge=1, publish_default=False)
+
+    def _metric_with_value(self, ctx: str) -> None:
+        if (self.metric is None) != (self.value is None):
+            fail(ctx, "'metric' and 'value' must be given together")
+        if self.metric is not None and (not isinstance(self.metric, str) or not self.metric):
+            fail(ctx, "metric must be a non-empty string", "metric")
+        if isinstance(self.value, bool) or not isinstance(self.value, (int, float, type(None))):
+            fail(ctx, f"value must be a number, got {self.value!r}", "value")
+
+    RULES = [(
+        _metric_with_value,
+        {
+            "if": {"properties": {"metric": {"type": "string"}}, "required": ["metric"]},
+            "then": {"properties": {"value": {"type": "number"}}, "required": ["value"],
+                     "$comment": "'metric' and 'value' must be given together"},
+        },
+        {
+            "if": {"properties": {"value": {"type": "number"}}, "required": ["value"]},
+            "then": {"properties": {"metric": {"type": "string", "minLength": 1}},
+                     "required": ["metric"],
+                     "$comment": "'metric' and 'value' must be given together"},
+        },
+    )]
 
     def __post_init__(self) -> None:
-        if self.max_simulated_time is not None:
-            self.max_simulated_time = parse_duration(self.max_simulated_time)
-            if self.max_simulated_time <= 0:
-                raise ConfigurationError("stop: max_simulated_time must be positive")
-        for name in ("max_finished_jobs", "max_failed_jobs"):
-            bound = getattr(self, name)
-            if bound is not None:
-                if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
-                    raise ConfigurationError(
-                        f"stop: {name} must be a positive integer, got {bound!r}"
-                    )
-        if self.op not in STOP_OPS:
-            raise ConfigurationError(
-                f"stop: op must be one of {'|'.join(STOP_OPS)}, got {self.op!r}"
-            )
-        if (self.metric is None) != (self.value is None):
-            raise ConfigurationError(
-                "stop: 'metric' and 'value' must be given together"
-            )
-        if self.metric is not None and (not isinstance(self.metric, str) or not self.metric):
-            raise ConfigurationError("stop: metric must be a non-empty string")
+        check_declared(self)
         if self.value is not None:
-            if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
-                raise ConfigurationError(f"stop: value must be a number, got {self.value!r}")
             self.value = float(self.value)
-        self.check_every = int(self.check_every)
-        if self.check_every < 1:
-            raise ConfigurationError("stop: check_every must be >= 1")
 
     def enabled(self) -> bool:
         """Whether any condition is actually configured."""
@@ -141,43 +143,22 @@ class MonitoringConfig:
     10
     """
 
-    #: Record per-job state transitions (Table 1 rows).
-    enable_events: bool = True
-    #: Interval in seconds between site-level snapshots (0 disables them).
-    snapshot_interval: float = 300.0
-    #: Keep records in memory (needed for the dashboard and ML dataset export).
-    keep_in_memory: bool = True
-    #: Rows buffered before attached sinks receive a batch.
-    batch_size: int = 1024
-    #: "full" records every transition row; "aggregate" keeps only the
-    #: per-site counters (huge runs that only need site-level aggregates).
-    detail: str = "full"
-    #: Retain every Nth transition row (1 = all; counters stay exact).
-    sample_stride: int = 1
+    enable_events: bool = declare("Record per-job state transitions.", default=True)
+    snapshot_interval: float = declare(
+        "Seconds between site snapshots (0 disables).", default=300.0,
+        quantity="duration", ge=0)
+    keep_in_memory: bool = declare("Retain monitoring rows in memory.", default=True)
+    batch_size: int = declare("Rows buffered per sink batch.", default=1024, ge=1)
+    detail: str = declare("Transition detail level.", default="full",
+                          choices=("full", "aggregate"))
+    sample_stride: int = declare("Retain every Nth transition row.", default=1, ge=1)
 
     def __post_init__(self) -> None:
-        self.snapshot_interval = parse_duration(self.snapshot_interval)
-        if self.snapshot_interval < 0:
-            raise ConfigurationError("snapshot_interval must be >= 0")
-        if self.detail not in ("full", "aggregate"):
-            raise ConfigurationError(
-                f"monitoring detail must be 'full' or 'aggregate', got {self.detail!r}"
-            )
-        if self.batch_size < 1:
-            raise ConfigurationError("monitoring batch_size must be >= 1")
-        if self.sample_stride < 1:
-            raise ConfigurationError("monitoring sample_stride must be >= 1")
+        check_declared(self)
 
     def to_dict(self) -> dict:
         """JSON-friendly representation."""
-        return {
-            "enable_events": self.enable_events,
-            "snapshot_interval": self.snapshot_interval,
-            "keep_in_memory": self.keep_in_memory,
-            "batch_size": self.batch_size,
-            "detail": self.detail,
-            "sample_stride": self.sample_stride,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -193,20 +174,13 @@ class OutputConfig:
     persists every monitored transition to ``run.sqlite``.
     """
 
-    #: SQLite database path (``None`` disables the SQLite store).
-    sqlite_path: Optional[str] = None
-    #: Directory for CSV exports (``None`` disables CSV export).
-    csv_directory: Optional[str] = None
-    #: Also dump the ML-ready event-level dataset.
-    ml_dataset: bool = False
+    sqlite_path: Optional[str] = declare("SQLite database path (null disables).", default=None)
+    csv_directory: Optional[str] = declare("CSV export directory (null disables).", default=None)
+    ml_dataset: bool = declare("Also dump the ML-ready event dataset.", default=False)
 
     def to_dict(self) -> dict:
         """JSON-friendly representation."""
-        return {
-            "sqlite_path": self.sqlite_path,
-            "csv_directory": self.csv_directory,
-            "ml_dataset": self.ml_dataset,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -242,49 +216,30 @@ class ExecutionConfig:
         metric counts attempts exactly as production monitoring does.
     """
 
-    plugin: str = "round_robin"
-    plugin_options: Dict[str, object] = field(default_factory=dict)
-    seed: int = 0
-    max_simulation_time: Optional[float] = None
-    dispatch_interval: float = 1.0
-    pending_retry_interval: float = 60.0
-    scheduling_overhead: float = 0.0
-    max_retries: int = 0
-    monitoring: MonitoringConfig = field(default_factory=MonitoringConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
+    plugin: str = declare("Allocation-policy plugin deciding job placement.",
+                          default="round_robin", plugin="allocation")
+    plugin_options: Dict[str, object] = declare(
+        "Options for the policy constructor.", default_factory=dict)
+    seed: int = declare("Root random seed of the run.", default=0)
+    max_simulation_time: Optional[float] = declare(
+        "Hard stop for the simulated clock.", default=None, quantity="duration", gt=0,
+        publish_default=True)
+    dispatch_interval: float = declare(
+        "Minimum time between dispatch rounds.", default=1.0, quantity="duration", ge=0)
+    pending_retry_interval: float = declare(
+        "Re-examination period of the pending list.", default=60.0,
+        quantity="duration", gt=0)
+    scheduling_overhead: float = declare(
+        "Fixed cost added per dispatched job.", default=0.0, quantity="duration", ge=0)
+    max_retries: int = declare("Automatic resubmissions of failed jobs.", default=0, ge=0)
+    monitoring: MonitoringConfig = declare(default_factory=MonitoringConfig)
+    output: OutputConfig = declare(default_factory=OutputConfig)
     #: Optional early-stop conditions evaluated between events by sessions
     #: (``None`` disables them; see :class:`StopConfig`).
-    stop: Optional[StopConfig] = None
+    stop: Optional[StopConfig] = declare(default=None)
 
     def __post_init__(self) -> None:
-        if not self.plugin:
-            raise ConfigurationError("execution config: plugin must be non-empty")
-        self.dispatch_interval = parse_duration(self.dispatch_interval)
-        self.pending_retry_interval = parse_duration(self.pending_retry_interval)
-        self.scheduling_overhead = parse_duration(self.scheduling_overhead)
-        if self.max_simulation_time is not None:
-            self.max_simulation_time = parse_duration(self.max_simulation_time)
-            if self.max_simulation_time <= 0:
-                raise ConfigurationError("max_simulation_time must be positive")
-        if self.dispatch_interval < 0:
-            raise ConfigurationError("dispatch_interval must be >= 0")
-        if self.pending_retry_interval <= 0:
-            raise ConfigurationError("pending_retry_interval must be positive")
-        if self.scheduling_overhead < 0:
-            raise ConfigurationError("scheduling_overhead must be >= 0")
-        self.max_retries = int(self.max_retries)
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        self.seed = int(self.seed)
-        if isinstance(self.monitoring, dict):
-            self.monitoring = MonitoringConfig(**self.monitoring)
-        if isinstance(self.output, dict):
-            self.output = OutputConfig(**self.output)
-        if isinstance(self.stop, dict):
-            try:
-                self.stop = StopConfig(**self.stop)
-            except TypeError as exc:
-                raise ConfigurationError(f"execution config: stop: {exc}") from exc
+        check_declared(self)
 
     def to_dict(self) -> dict:
         """JSON-friendly representation (top-level object of the JSON file)."""
@@ -309,20 +264,4 @@ class ExecutionConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExecutionConfig":
         """Build from the parsed JSON object."""
-        known = {
-            "plugin",
-            "plugin_options",
-            "seed",
-            "max_simulation_time",
-            "dispatch_interval",
-            "pending_retry_interval",
-            "scheduling_overhead",
-            "max_retries",
-            "monitoring",
-            "output",
-            "stop",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"execution config: unknown fields {sorted(unknown)}")
-        return cls(**data)
+        return load(cls, data, "execution config")

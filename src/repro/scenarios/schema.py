@@ -6,10 +6,12 @@ classic config files), the workload, optional fault-injection campaigns and
 data placement, the execution parameters, and -- optionally -- either a sweep
 over any pack field (fanned across worker processes) or a calibration study.
 
-Every section validates eagerly into the existing configuration dataclasses
-with config-style error messages that name the pack and the offending field,
-so a typo in a pack fails at ``repro scenario validate`` time, never ten
-minutes into a sweep.
+Every field is declared once, on its dataclass
+(:func:`repro.utils.fieldspec.declare`); the mapping loader validates against
+that declaration with error messages that name the pack, the field and its
+JSON pointer, so a typo in a pack fails at ``repro scenario validate`` time,
+never ten minutes into a sweep -- and :mod:`repro.schema` publishes the same
+declaration as JSON Schema.
 
 The schema is deliberately data-only: a pack contains parameters, never code,
 which is what makes packs diffable, sweepable (axes are dotted paths into the
@@ -21,7 +23,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -29,9 +31,21 @@ from repro.config.execution import ExecutionConfig
 from repro.config.infrastructure import InfrastructureConfig
 from repro.config.topology import TopologyConfig
 from repro.faults.models import JobFailureModel, OutageWindow, SiteOutageModel
+from repro.schema.generator import doc_summary, quantity_schema, typed_schema
 from repro.utils.errors import ConfigurationError
+from repro.utils.fieldspec import (
+    Ctx,
+    at,
+    child,
+    declare,
+    errors_under,
+    fail,
+    load,
+    reject_unknown,
+    require_mapping,
+)
 from repro.utils.jsonpointer import join_pointer
-from repro.utils.units import parse_bytes, parse_duration
+from repro.utils.units import parse_duration
 from repro.workload.generator import WorkloadSpec
 from repro.workload.job import Job
 
@@ -51,93 +65,25 @@ __all__ = [
 #: Default metrics rendered for sweep packs that do not choose their own.
 DEFAULT_SWEEP_METRICS = ("makespan", "mean_queue_time", "throughput", "failure_rate")
 
-
-class _Ctx(str):
-    """Validation context: the human-readable label plus a JSON pointer.
-
-    Behaves exactly like the plain context string it always was (callers
-    interpolate it into messages with ``f"{ctx}: ..."``), but additionally
-    carries the RFC 6901 pointer of the pack field being validated, so error
-    messages can end with a machine-matchable ``(at /workload/jobs)`` suffix
-    -- the same addressing scheme the generated JSON Schema validator in
-    :mod:`repro.schema` reports.  External callers that pass a plain ``str``
-    context still work; their messages simply omit the pointer suffix.
-    """
-
-    __slots__ = ("pointer",)
-
-    pointer: str
-
-    def __new__(cls, label: str, pointer: str = "") -> "_Ctx":
-        self = super().__new__(cls, label)
-        self.pointer = pointer
-        return self
-
-    def child(self, label: str, *parts: Any) -> "_Ctx":
-        """Context for a sub-field: label appended, pointer tokens joined."""
-        return _Ctx(f"{self}: {label}", self.pointer + join_pointer(parts))
+#: Top-level pack fields a sweep axis may not target (they are not simulation
+#: parameters).
+_NOT_SWEEPABLE = ("name", "title", "description", "tags", "sweep")
 
 
-def _at(ctx: str, *parts: Any) -> str:
-    """The ``" (at /json/pointer)"`` suffix for an error raised under ``ctx``.
+class _Section:
+    """What every pack section shares: its fields are declared once with
+    :func:`~repro.utils.fieldspec.declare`, and that declaration is what the
+    mapping loader, the eager error messages and the published JSON Schema
+    read.  A section adds only its cross-field ``RULES``."""
 
-    Empty when ``ctx`` is a plain string (no pointer available); the
-    whole-document pointer renders as ``/`` for readability.
-    """
-    pointer = getattr(ctx, "pointer", None)
-    if pointer is None:
-        return ""
-    return f" (at {pointer + join_pointer(parts) or '/'})"
-
-
-def _child(ctx: str, label: str, *parts: Any) -> str:
-    """Sub-field context: pointer-carrying when ``ctx`` is, plain otherwise."""
-    if isinstance(ctx, _Ctx):
-        return ctx.child(label, *parts)
-    return f"{ctx}: {label}"
-
-
-def _require_mapping(data: Any, ctx: str) -> dict:
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"{ctx} must be a mapping, got {type(data).__name__}{_at(ctx)}"
-        )
-    return data
-
-
-def _reject_unknown(data: dict, known: Sequence[str], ctx: str) -> None:
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ConfigurationError(
-            f"{ctx}: unknown fields {unknown}; known fields: {sorted(known)}"
-            f"{_at(ctx, unknown[0])}"
-        )
-
-
-def _float_field(data: dict, name: str, default: float, ctx: str) -> float:
-    value = data.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"{ctx}: {name} must be a number, got {value!r}{_at(ctx, name)}"
-        )
-    return float(value)
-
-
-def _int_field(data: dict, name: str, default: int, ctx: str, minimum: int) -> int:
-    value = data.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"{ctx}: {name} must be an integer, got {value!r}{_at(ctx, name)}"
-        )
-    if value < minimum:
-        raise ConfigurationError(
-            f"{ctx}: {name} must be >= {minimum}, got {value}{_at(ctx, name)}"
-        )
-    return value
+    @classmethod
+    def from_dict(cls, data: Any, ctx: str) -> Any:
+        """Validate a parsed mapping into the section (errors name ``ctx``)."""
+        return load(cls, data, ctx)
 
 
 @dataclass
-class GridSection:
+class GridSection(_Section):
     """Where the simulated infrastructure and topology come from.
 
     ``kind`` selects one of three sources:
@@ -153,51 +99,38 @@ class GridSection:
       relative to the pack file.
     """
 
-    kind: str = "synthetic"
-    sites: int = 10
-    layout: str = "star"
-    seed: int = 0
-    infrastructure: Optional[str] = None
-    topology: Optional[str] = None
+    kind: str = declare("Source of the simulated grid.", default="synthetic",
+                        choices=("synthetic", "wlcg", "files"))
+    sites: int = declare("Number of sites (synthetic/wlcg kinds).", default=10, ge=1)
+    layout: str = declare("Synthetic topology layout.", default="star",
+                          choices=("star", "tiered"))
+    seed: int = declare("Seed of the synthetic grid generator.", default=0, ge=0)
+    infrastructure: Optional[str] = declare(
+        "Infrastructure file path (kind 'files' only).", default=None)
+    topology: Optional[str] = declare("Topology file path (kind 'files' only).", default=None)
 
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str) -> "GridSection":
-        data = _require_mapping(data, ctx)
-        _reject_unknown(
-            data, ["kind", "sites", "layout", "seed", "infrastructure", "topology"], ctx
-        )
-        kind = data.get("kind", "synthetic")
-        if kind not in ("synthetic", "wlcg", "files"):
-            raise ConfigurationError(
-                f"{ctx}: kind must be one of synthetic|wlcg|files, got {kind!r}"
-                f"{_at(ctx, 'kind')}"
-            )
-        section = cls(
-            kind=kind,
-            sites=_int_field(data, "sites", 10, ctx, minimum=1),
-            layout=data.get("layout", "star"),
-            seed=_int_field(data, "seed", 0, ctx, minimum=0),
-            infrastructure=data.get("infrastructure"),
-            topology=data.get("topology"),
-        )
-        if section.layout not in ("star", "tiered"):
-            raise ConfigurationError(
-                f"{ctx}: layout must be star|tiered, got {section.layout!r}"
-                f"{_at(ctx, 'layout')}"
-            )
-        if kind == "files":
-            for name in ("infrastructure", "topology"):
-                if not getattr(section, name):
-                    raise ConfigurationError(
-                        f"{ctx}: kind 'files' requires the {name!r} path{_at(ctx, name)}"
-                    )
-        else:
-            for name in ("infrastructure", "topology"):
-                if data.get(name) is not None:
-                    raise ConfigurationError(
-                        f"{ctx}: {name!r} is only valid with kind 'files'{_at(ctx, name)}"
-                    )
-        return section
+    def _paths_go_with_files(self, ctx: str) -> None:
+        for name in ("infrastructure", "topology"):
+            path = getattr(self, name)
+            if self.kind == "files" and not path:
+                fail(ctx, f"kind 'files' requires the {name!r} path", name)
+            if self.kind != "files" and path is not None:
+                fail(ctx, f"{name!r} is only valid with kind 'files'", name)
+
+    RULES = [(
+        _paths_go_with_files,
+        {
+            "if": {"properties": {"kind": {"const": "files"}}, "required": ["kind"]},
+            "then": {"required": ["infrastructure", "topology"],
+                     "properties": {"infrastructure": {"type": "string"},
+                                    "topology": {"type": "string"}}},
+            "else": {
+                "properties": {"infrastructure": {"type": "null"},
+                               "topology": {"type": "null"}},
+                "$comment": "infrastructure/topology are only valid with kind 'files'",
+            },
+        },
+    )]
 
     def build(self, base_dir: Optional[Path]) -> Tuple[InfrastructureConfig, TopologyConfig]:
         """Materialise the infrastructure and topology this section describes."""
@@ -241,7 +174,7 @@ def _resolve(base: Path, relative: str) -> Path:
 
 
 @dataclass
-class WorkloadSection:
+class WorkloadSection(_Section):
     """How the job trace is produced.
 
     ``generator`` is ``"synthetic"`` (:class:`SyntheticWorkloadGenerator`) or
@@ -253,66 +186,46 @@ class WorkloadSection:
     studies), and ``trace`` replays a CSV trace file instead of generating.
     """
 
-    generator: str = "synthetic"
-    jobs: int = 1000
-    seed: int = 0
-    spec: Dict[str, Any] = field(default_factory=dict)
-    mean_task_size: float = 25.0
-    per_site_jobs: Optional[int] = None
-    trace: Optional[str] = None
+    generator: str = declare("Workload generator.", default="synthetic",
+                             choices=("synthetic", "panda"))
+    jobs: int = declare("Total job count to generate.", default=1000, ge=1)
+    seed: int = declare("Workload generator seed.", default=0, ge=0)
+    spec: Dict[str, Any] = declare(default_factory=dict, checked_as=WorkloadSpec)
+    mean_task_size: float = declare(
+        "Mean jobs per PanDA-like task (panda generator).", default=25.0, ge=1)
+    per_site_jobs: Optional[int] = declare(
+        "Exactly-N-jobs-per-site mode (synthetic only).", default=None, ge=1)
+    trace: Optional[str] = declare(
+        "CSV trace file to replay instead of generating.", default=None)
 
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str) -> "WorkloadSection":
-        data = _require_mapping(data, ctx)
-        _reject_unknown(
-            data,
-            ["generator", "jobs", "seed", "spec", "mean_task_size", "per_site_jobs", "trace"],
-            ctx,
-        )
-        generator = data.get("generator", "synthetic")
-        if generator not in ("synthetic", "panda"):
-            raise ConfigurationError(
-                f"{ctx}: generator must be synthetic|panda, got {generator!r}"
-                f"{_at(ctx, 'generator')}"
-            )
-        spec_ctx = _child(ctx, "spec", "spec")
-        spec = _require_mapping(data.get("spec", {}), spec_ctx)
-        valid_spec = set(WorkloadSpec.__dataclass_fields__)
-        _reject_unknown(spec, sorted(valid_spec), spec_ctx)
-        try:
-            WorkloadSpec(**spec)  # eager validation with WorkloadSpec's messages
-        except Exception as exc:
-            raise ConfigurationError(f"{spec_ctx}: {exc}{_at(spec_ctx)}") from exc
-        section = cls(
-            generator=generator,
-            jobs=_int_field(data, "jobs", 1000, ctx, minimum=1),
-            seed=_int_field(data, "seed", 0, ctx, minimum=0),
-            spec=dict(spec),
-            mean_task_size=_float_field(data, "mean_task_size", 25.0, ctx),
-            per_site_jobs=data.get("per_site_jobs"),
-            trace=data.get("trace"),
-        )
-        if section.mean_task_size < 1:
-            raise ConfigurationError(
-                f"{ctx}: mean_task_size must be >= 1, got {section.mean_task_size}"
-                f"{_at(ctx, 'mean_task_size')}"
-            )
-        if section.per_site_jobs is not None:
-            if generator != "synthetic":
-                raise ConfigurationError(
-                    f"{ctx}: per_site_jobs requires the synthetic generator"
-                    f"{_at(ctx, 'per_site_jobs')}"
-                )
-            if not isinstance(section.per_site_jobs, int) or section.per_site_jobs < 1:
-                raise ConfigurationError(
-                    f"{ctx}: per_site_jobs must be a positive integer"
-                    f"{_at(ctx, 'per_site_jobs')}"
-                )
-        if section.trace is not None and section.per_site_jobs is not None:
-            raise ConfigurationError(
-                f"{ctx}: trace and per_site_jobs are exclusive{_at(ctx, 'trace')}"
-            )
-        return section
+    def _per_site_jobs_is_synthetic(self, ctx: str) -> None:
+        if self.per_site_jobs is not None and self.generator != "synthetic":
+            fail(ctx, "per_site_jobs requires the synthetic generator", "per_site_jobs")
+
+    def _trace_or_per_site_jobs(self, ctx: str) -> None:
+        if self.trace is not None and self.per_site_jobs is not None:
+            fail(ctx, "trace and per_site_jobs are exclusive", "trace")
+
+    RULES = [
+        (
+            _per_site_jobs_is_synthetic,
+            {
+                "if": {"properties": {"per_site_jobs": {"type": "integer"}},
+                       "required": ["per_site_jobs"]},
+                "then": {"properties": {"generator": {"const": "synthetic"}},
+                         "$comment": "per_site_jobs requires the synthetic generator"},
+            },
+        ),
+        (
+            _trace_or_per_site_jobs,
+            {
+                "not": {"properties": {"trace": {"type": "string"},
+                                       "per_site_jobs": {"type": "integer"}},
+                        "required": ["trace", "per_site_jobs"]},
+                "$comment": "trace and per_site_jobs are exclusive",
+            },
+        ),
+    ]
 
     def build(self, infrastructure: InfrastructureConfig, base_dir: Optional[Path]) -> List[Job]:
         """Generate (or load) the job list against ``infrastructure``."""
@@ -350,8 +263,55 @@ class WorkloadSection:
         return data
 
 
+#: The three ``faults`` sub-objects map onto plain classes (no dataclass to
+#: walk), so their published shapes are assembled by hand here, next to the
+#: eager checks in :class:`FaultsSection` that read their key lists.
+_JOB_FAILURES = {
+    "type": "object",
+    "description": doc_summary(JobFailureModel),
+    "additionalProperties": False,
+    "properties": {
+        "default_rate": typed_schema(
+            "number", "Failure probability for unlisted sites.", minimum=0, maximum=1),
+        "site_rates": {"type": "object",
+                       "additionalProperties": typed_schema("number", minimum=0, maximum=1),
+                       "description": "Per-site failure probabilities."},
+        "mean_failure_fraction": typed_schema(
+            "number", "Mean fraction of execution completed before failing.",
+            exclusiveMinimum=0, maximum=1),
+        "seed": typed_schema("integer", "Root seed of the failure draws."),
+    },
+}
+_OUTAGE_WINDOW = {
+    "type": "object",
+    "description": "One explicit site outage interval in simulated seconds.",
+    "additionalProperties": False,
+    "required": ["site", "start", "end"],
+    "properties": {
+        "site": typed_schema("string", "Site the outage applies to."),
+        "start": quantity_schema("duration", description="Outage start time."),
+        "end": quantity_schema("duration", description="Outage end time."),
+    },
+}
+_OUTAGE_MODEL = {
+    "type": "object",
+    "description": doc_summary(SiteOutageModel),
+    "additionalProperties": False,
+    "required": ["horizon"],
+    "properties": {
+        "mean_time_between_failures": quantity_schema(
+            "duration", exclusive_minimum=0, description="MTBF per site."),
+        "mean_time_to_repair": quantity_schema(
+            "duration", exclusive_minimum=0, description="MTTR per outage."),
+        "horizon": quantity_schema(
+            "duration", exclusive_minimum=0, description="Schedule horizon for drawn outages."),
+        "seed": typed_schema("integer", "Seed of the outage schedule draws."),
+    },
+}
+
+
 @dataclass
-class FaultsSection:
+class FaultsSection(_Section):
     """Fault-injection campaign: job failures plus site outages.
 
     ``job_failures`` maps straight onto :class:`JobFailureModel` (per-site
@@ -361,81 +321,57 @@ class FaultsSection:
     via :class:`SiteOutageModel` over the given ``horizon``.
     """
 
-    job_failures: Optional[Dict[str, Any]] = None
-    outages: List[Dict[str, Any]] = field(default_factory=list)
-    outage_model: Optional[Dict[str, Any]] = None
+    job_failures: Optional[Dict[str, Any]] = declare(
+        default=None, schema={"anyOf": [_JOB_FAILURES, {"type": "null"}]})
+    outages: List[Dict[str, Any]] = declare(
+        default_factory=list,
+        schema={"type": "array", "items": _OUTAGE_WINDOW,
+                "description": "Explicit outage windows.", "default": []})
+    outage_model: Optional[Dict[str, Any]] = declare(
+        default=None, schema={"anyOf": [_OUTAGE_MODEL, {"type": "null"}]})
 
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str) -> "FaultsSection":
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, ["job_failures", "outages", "outage_model"], ctx)
-        section = cls(
-            job_failures=data.get("job_failures"),
-            outages=list(data.get("outages", [])),
-            outage_model=data.get("outage_model"),
-        )
-        if section.job_failures is not None:
-            failures_ctx = _child(ctx, "job_failures", "job_failures")
-            failures = _require_mapping(section.job_failures, failures_ctx)
-            _reject_unknown(
-                failures,
-                ["default_rate", "site_rates", "mean_failure_fraction", "seed"],
-                failures_ctx,
-            )
-            try:
-                JobFailureModel(**failures)
-            except Exception as exc:
-                raise ConfigurationError(
-                    f"{failures_ctx}: {exc}{_at(failures_ctx)}"
-                ) from exc
-        for index, window in enumerate(section.outages):
-            window_ctx = _child(ctx, f"outages[{index}]", "outages", index)
-            window = _require_mapping(window, window_ctx)
-            _reject_unknown(window, ["site", "start", "end"], window_ctx)
-            for key in ("site", "start", "end"):
+    def _job_failures_build(self, ctx: str) -> None:
+        if self.job_failures is None:
+            return
+        ctx = child(ctx, "job_failures", "job_failures")
+        reject_unknown(self.job_failures, _JOB_FAILURES["properties"], ctx)
+        with errors_under(ctx):
+            JobFailureModel(**self.job_failures)
+
+    def _outages_build(self, ctx: str) -> None:
+        for index, window in enumerate(self.outages):
+            window_ctx = child(ctx, f"outages[{index}]", "outages", index)
+            reject_unknown(require_mapping(window, window_ctx),
+                           _OUTAGE_WINDOW["properties"], window_ctx)
+            for key in _OUTAGE_WINDOW["required"]:
                 if key not in window:
                     raise ConfigurationError(
-                        f"{window_ctx} requires {key!r}{_at(window_ctx, key)}"
-                    )
-            try:
-                OutageWindow(
-                    site=window["site"],
-                    start=parse_duration(window["start"]),
-                    end=parse_duration(window["end"]),
-                )
-            except Exception as exc:
-                raise ConfigurationError(
-                    f"{window_ctx}: {exc}{_at(window_ctx)}"
-                ) from exc
-        if section.outage_model is not None:
-            model_ctx = _child(ctx, "outage_model", "outage_model")
-            model = _require_mapping(section.outage_model, model_ctx)
-            _reject_unknown(
-                model,
-                ["mean_time_between_failures", "mean_time_to_repair", "horizon", "seed"],
-                model_ctx,
-            )
-            if "horizon" not in model:
-                raise ConfigurationError(
-                    f"{ctx}: outage_model requires 'horizon'{_at(model_ctx, 'horizon')}"
-                )
-            try:
-                params = {k: v for k, v in model.items() if k != "horizon"}
-                for key in ("mean_time_between_failures", "mean_time_to_repair"):
-                    if key in params:
-                        params[key] = parse_duration(params[key])
-                SiteOutageModel(**params)
-                if parse_duration(model["horizon"]) <= 0:
-                    raise ConfigurationError(
-                        f"horizon must be positive{_at(model_ctx, 'horizon')}"
-                    )
-            except ConfigurationError:
-                raise
-            except Exception as exc:
-                raise ConfigurationError(
-                    f"{model_ctx}: {exc}{_at(model_ctx)}"
-                ) from exc
-        return section
+                        f"{window_ctx} requires {key!r}{at(window_ctx, key)}")
+            with errors_under(window_ctx):
+                _outage_window(window)
+
+    def _outage_model_builds(self, ctx: str) -> None:
+        if self.outage_model is None:
+            return
+        model_ctx = child(ctx, "outage_model", "outage_model")
+        reject_unknown(self.outage_model, _OUTAGE_MODEL["properties"], model_ctx)
+        if "horizon" not in self.outage_model:
+            fail(ctx, "outage_model requires 'horizon'", "outage_model", "horizon")
+        with errors_under(model_ctx):
+            self._site_outage_model()
+            horizon = parse_duration(self.outage_model["horizon"])
+        if horizon <= 0:
+            fail(model_ctx, "horizon must be positive", "horizon")
+
+    RULES = [(_job_failures_build,), (_outages_build,), (_outage_model_builds,)]
+
+    def _site_outage_model(self) -> SiteOutageModel:
+        assert self.outage_model is not None
+        params = {k: v for k, v in self.outage_model.items() if k != "horizon"}
+        for key in ("mean_time_between_failures", "mean_time_to_repair"):
+            if key in params:
+                params[key] = parse_duration(params[key])
+        return SiteOutageModel(**params)
 
     def build(
         self, site_names: Sequence[str]
@@ -444,19 +380,10 @@ class FaultsSection:
         failure_model = None
         if self.job_failures is not None:
             failure_model = JobFailureModel(**self.job_failures)
-        windows = [
-            OutageWindow(
-                site=w["site"], start=parse_duration(w["start"]), end=parse_duration(w["end"])
-            )
-            for w in self.outages
-        ]
+        windows = [_outage_window(w) for w in self.outages]
         if self.outage_model is not None:
-            params = {k: v for k, v in self.outage_model.items() if k != "horizon"}
-            for key in ("mean_time_between_failures", "mean_time_to_repair"):
-                if key in params:
-                    params[key] = parse_duration(params[key])
-            model = SiteOutageModel(**params)
-            windows.extend(model.schedule(site_names, parse_duration(self.outage_model["horizon"])))
+            horizon = parse_duration(self.outage_model["horizon"])
+            windows.extend(self._site_outage_model().schedule(site_names, horizon))
         return failure_model, windows
 
     def to_dict(self) -> dict:
@@ -470,8 +397,16 @@ class FaultsSection:
         return data
 
 
+def _outage_window(window: Dict[str, Any]) -> OutageWindow:
+    return OutageWindow(
+        site=window["site"],
+        start=parse_duration(window["start"]),
+        end=parse_duration(window["end"]),
+    )
+
+
 @dataclass
-class CacheSection:
+class CacheSection(_Section):
     """Site-cache configuration inside a pack's ``data`` section.
 
     ``capacity`` bounds each site's dataset cache in bytes (unit strings
@@ -485,83 +420,30 @@ class CacheSection:
     jobs read (warm-cache study; the default is a cold start).
     """
 
-    capacity: Optional[float] = None
-    policy: str = "lru"
-    policy_options: Dict[str, Any] = field(default_factory=dict)
-    replication: str = "static_n"
-    replication_options: Dict[str, Any] = field(default_factory=dict)
-    prewarm: bool = False
+    capacity: Optional[float] = declare(
+        "Per-site cache capacity in bytes (null = unbounded).", default=None,
+        quantity="bytes", gt=0)
+    policy: str = declare("Eviction plugin name.", default="lru", plugin="eviction")
+    policy_options: Dict[str, Any] = declare(
+        "Options for the eviction plugin constructor.", default_factory=dict)
+    replication: str = declare(
+        "Replica-placement plugin name.", default="static_n", plugin="replication")
+    replication_options: Dict[str, Any] = declare(
+        "Options for the replication plugin constructor.", default_factory=dict)
+    prewarm: bool = declare(
+        "Pre-populate caches with the datasets jobs read.", default=False)
 
-    KNOWN_FIELDS = (
-        "capacity",
-        "policy",
-        "policy_options",
-        "replication",
-        "replication_options",
-        "prewarm",
-    )
+    def _plugins_resolve(self, ctx: str) -> None:
+        with errors_under(ctx):
+            self.build_spec().validate()
 
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str) -> "CacheSection":
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, cls.KNOWN_FIELDS, ctx)
-        capacity = data.get("capacity")
-        if capacity is not None:
-            try:
-                capacity = parse_bytes(capacity)
-            except Exception as exc:
-                raise ConfigurationError(
-                    f"{ctx}: capacity: {exc}{_at(ctx, 'capacity')}"
-                ) from exc
-            if capacity <= 0:
-                raise ConfigurationError(
-                    f"{ctx}: capacity must be positive{_at(ctx, 'capacity')}"
-                )
-        policy = data.get("policy", "lru")
-        replication = data.get("replication", "static_n")
-        for name, value in (("policy", policy), ("replication", replication)):
-            if not isinstance(value, str) or not value:
-                raise ConfigurationError(
-                    f"{ctx}: {name} must be a non-empty string{_at(ctx, name)}"
-                )
-        policy_options = _require_mapping(
-            data.get("policy_options", {}), _child(ctx, "policy_options", "policy_options")
-        )
-        replication_options = _require_mapping(
-            data.get("replication_options", {}),
-            _child(ctx, "replication_options", "replication_options"),
-        )
-        prewarm = data.get("prewarm", False)
-        if not isinstance(prewarm, bool):
-            raise ConfigurationError(
-                f"{ctx}: prewarm must be a boolean, got {prewarm!r}{_at(ctx, 'prewarm')}"
-            )
-        section = cls(
-            capacity=capacity,
-            policy=policy,
-            policy_options=dict(policy_options),
-            replication=replication,
-            replication_options=dict(replication_options),
-            prewarm=prewarm,
-        )
-        try:
-            section.build_spec().validate()
-        except Exception as exc:
-            raise ConfigurationError(f"{ctx}: {exc}{_at(ctx)}") from exc
-        return section
+    RULES = [(_plugins_resolve,)]
 
     def build_spec(self):
         """Materialise the validated :class:`repro.data.DataCacheSpec`."""
         from repro.data.spec import DataCacheSpec
 
-        return DataCacheSpec(
-            capacity=self.capacity,
-            policy=self.policy,
-            policy_options=dict(self.policy_options),
-            replication=self.replication,
-            replication_options=dict(self.replication_options),
-            prewarm=self.prewarm,
-        )
+        return DataCacheSpec(**asdict(self))
 
     def to_dict(self) -> dict:
         data: Dict[str, Any] = {"policy": self.policy, "replication": self.replication}
@@ -577,7 +459,7 @@ class CacheSection:
 
 
 @dataclass
-class DataSection:
+class DataSection(_Section):
     """Rucio-like dataset placement for data-aware scheduling studies.
 
     ``datasets`` shared datasets of ``dataset_size`` bytes each (unit strings
@@ -597,64 +479,16 @@ class DataSection:
     the skewed popularity real caches exploit.
     """
 
-    datasets: int = 20
-    dataset_size: float = 50e9
-    replication_factor: int = 2
-    seed: int = 0
-    assignment: str = "round_robin"
-    zipf_exponent: float = 1.2
-    cache: Optional[CacheSection] = None
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str) -> "DataSection":
-        data = _require_mapping(data, ctx)
-        _reject_unknown(
-            data,
-            [
-                "datasets",
-                "dataset_size",
-                "replication_factor",
-                "seed",
-                "assignment",
-                "zipf_exponent",
-                "cache",
-            ],
-            ctx,
-        )
-        try:
-            size = parse_bytes(data.get("dataset_size", 50e9))
-        except Exception as exc:
-            raise ConfigurationError(
-                f"{ctx}: dataset_size: {exc}{_at(ctx, 'dataset_size')}"
-            ) from exc
-        assignment = data.get("assignment", "round_robin")
-        if assignment not in ("round_robin", "zipf"):
-            raise ConfigurationError(
-                f"{ctx}: assignment must be round_robin|zipf, got {assignment!r}"
-                f"{_at(ctx, 'assignment')}"
-            )
-        section = cls(
-            datasets=_int_field(data, "datasets", 20, ctx, minimum=1),
-            dataset_size=size,
-            replication_factor=_int_field(data, "replication_factor", 2, ctx, minimum=1),
-            seed=_int_field(data, "seed", 0, ctx, minimum=0),
-            assignment=assignment,
-            zipf_exponent=_float_field(data, "zipf_exponent", 1.2, ctx),
-            cache=(
-                CacheSection.from_dict(data["cache"], _child(ctx, "cache", "cache"))
-                if data.get("cache") is not None
-                else None
-            ),
-        )
-        if section.dataset_size <= 0:
-            raise ConfigurationError(
-                f"{ctx}: dataset_size must be positive{_at(ctx, 'dataset_size')}"
-            )
-        if section.zipf_exponent <= 0:
-            raise ConfigurationError(
-                f"{ctx}: zipf_exponent must be positive{_at(ctx, 'zipf_exponent')}"
-            )
-        return section
+    datasets: int = declare("Number of shared datasets.", default=20, ge=1)
+    dataset_size: float = declare(
+        "Size of each dataset in bytes.", default=50e9, quantity="bytes", gt=0)
+    replication_factor: int = declare("Initial replicas per dataset.", default=2, ge=1)
+    seed: int = declare("Placement/assignment seed.", default=0, ge=0)
+    assignment: str = declare("How jobs are assigned datasets.", default="round_robin",
+                              choices=("round_robin", "zipf"))
+    zipf_exponent: float = declare(
+        "Zipf popularity exponent (assignment 'zipf').", default=1.2, gt=0)
+    cache: Optional[CacheSection] = declare(default=None)
 
     def dataset_catalog(self) -> Dict[str, float]:
         """Mapping of dataset name to size in bytes."""
@@ -676,7 +510,7 @@ class DataSection:
 
 
 @dataclass
-class CalibrationSection:
+class CalibrationSection(_Section):
     """Run the per-site walltime calibration instead of a plain simulation.
 
     The pack's workload becomes the ground truth (``per_site_jobs`` is the
@@ -687,54 +521,22 @@ class CalibrationSection:
     worker-count-invariant report.
     """
 
-    optimizer: str = "random"
-    budget: int = 30
-    mode: str = "analytic"
-    seed: int = 0
-    min_jobs_per_site: int = 5
-    workers: int = 1
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str) -> "CalibrationSection":
-        data = _require_mapping(data, ctx)
-        _reject_unknown(
-            data,
-            ["optimizer", "budget", "mode", "seed", "min_jobs_per_site", "workers"],
-            ctx,
-        )
-        section = cls(
-            optimizer=data.get("optimizer", "random"),
-            budget=_int_field(data, "budget", 30, ctx, minimum=1),
-            mode=data.get("mode", "analytic"),
-            seed=_int_field(data, "seed", 0, ctx, minimum=0),
-            min_jobs_per_site=_int_field(data, "min_jobs_per_site", 5, ctx, minimum=1),
-            workers=_int_field(data, "workers", 1, ctx, minimum=0),
-        )
-        if section.optimizer not in ("random", "bayesian", "cmaes", "brute_force"):
-            raise ConfigurationError(
-                f"{ctx}: optimizer must be one of random|bayesian|cmaes|brute_force, "
-                f"got {section.optimizer!r}{_at(ctx, 'optimizer')}"
-            )
-        if section.mode not in ("simulate", "analytic"):
-            raise ConfigurationError(
-                f"{ctx}: mode must be simulate|analytic, got {section.mode!r}"
-                f"{_at(ctx, 'mode')}"
-            )
-        return section
+    optimizer: str = declare("Black-box optimizer.", default="random",
+                             choices=("random", "bayesian", "cmaes", "brute_force"))
+    budget: int = declare("Optimizer evaluations per site.", default=30, ge=1)
+    mode: str = declare("Objective evaluation mode.", default="analytic",
+                        choices=("simulate", "analytic"))
+    seed: int = declare("Optimizer seed.", default=0, ge=0)
+    min_jobs_per_site: int = declare(
+        "Minimum ground-truth jobs a site needs to be calibrated.", default=5, ge=1)
+    workers: int = declare("Worker processes (0 = one per CPU).", default=1, ge=0)
 
     def to_dict(self) -> dict:
-        return {
-            "optimizer": self.optimizer,
-            "budget": self.budget,
-            "mode": self.mode,
-            "seed": self.seed,
-            "min_jobs_per_site": self.min_jobs_per_site,
-            "workers": self.workers,
-        }
+        return asdict(self)
 
 
 @dataclass
-class SweepSection:
+class SweepSection(_Section):
     """Fan the pack over a cartesian grid of field values.
 
     ``axes`` maps dotted paths into the pack (``"execution.plugin"``,
@@ -745,42 +547,38 @@ class SweepSection:
     one per CPU).  ``metrics`` selects the columns of the aggregate table.
     """
 
-    axes: Dict[str, List[Any]] = field(default_factory=dict)
-    replications: int = 1
-    workers: int = 1
-    metrics: List[str] = field(default_factory=lambda: list(DEFAULT_SWEEP_METRICS))
+    axes: Dict[str, List[Any]] = declare(
+        default_factory=dict, required=True,
+        schema={
+            "type": "object",
+            "description": "Dotted pack paths mapped to the value lists to sweep.",
+            "minProperties": 1,
+            "propertyNames": {
+                "pattern": rf"^(?!(?:{'|'.join(_NOT_SWEEPABLE)})(?:\.|$)).+",
+                "$comment": "axes must target a simulation field "
+                            "(grid/workload/execution/faults/data)",
+            },
+            "additionalProperties": {"type": "array", "minItems": 1},
+        })
+    replications: int = declare("Seeded replications per combination.", default=1, ge=1)
+    workers: int = declare("Worker processes (0 = one per CPU).", default=1, ge=0)
+    metrics: List[str] = declare(
+        "Metric columns of the aggregate table.",
+        default_factory=lambda: list(DEFAULT_SWEEP_METRICS))
 
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str) -> "SweepSection":
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, ["axes", "replications", "workers", "metrics"], ctx)
-        axes_ctx = _child(ctx, "axes", "axes")
-        axes = _require_mapping(data.get("axes", {}), axes_ctx)
-        if not axes:
-            raise ConfigurationError(
-                f"{ctx}: axes must name at least one sweep axis{_at(axes_ctx)}"
-            )
-        for path, values in axes.items():
+    def _axes_list_values(self, ctx: str) -> None:
+        if not self.axes:
+            fail(ctx, "axes must name at least one sweep axis", "axes")
+        for path, values in self.axes.items():
             if not isinstance(path, str) or not path:
-                raise ConfigurationError(
-                    f"{ctx}: axis names must be dotted paths{_at(axes_ctx)}"
-                )
+                fail(ctx, "axis names must be dotted paths", "axes")
             if not isinstance(values, list) or not values:
-                raise ConfigurationError(
-                    f"{ctx}: axis {path!r} must list at least one value"
-                    f"{_at(axes_ctx, path)}"
-                )
-        metrics = data.get("metrics", list(DEFAULT_SWEEP_METRICS))
-        if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
-            raise ConfigurationError(
-                f"{ctx}: metrics must be a list of metric names{_at(ctx, 'metrics')}"
-            )
-        return cls(
-            axes={path: list(values) for path, values in axes.items()},
-            replications=_int_field(data, "replications", 1, ctx, minimum=1),
-            workers=_int_field(data, "workers", 1, ctx, minimum=0),
-            metrics=list(metrics),
-        )
+                fail(ctx, f"axis {path!r} must list at least one value", "axes", path)
+            if path.split(".")[0] in _NOT_SWEEPABLE:
+                fail(ctx, f"axis {path!r} must target a simulation field "
+                     "(grid/workload/execution/faults/data)", "axes", path)
+
+    RULES = [(_axes_list_values,)]
 
     def combinations(self) -> List[Dict[str, Any]]:
         """Every axis combination as an ``{dotted path: value}`` mapping."""
@@ -791,12 +589,7 @@ class SweepSection:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "axes": {path: list(values) for path, values in self.axes.items()},
-            "replications": self.replications,
-            "workers": self.workers,
-            "metrics": list(self.metrics),
-        }
+        return asdict(self)
 
 
 def apply_override(data: dict, path: str, value: Any) -> None:
@@ -865,34 +658,58 @@ class ScenarioPack:
     'tiny'
     """
 
-    name: str
-    title: str = ""
-    description: str = ""
-    tags: List[str] = field(default_factory=list)
-    grid: GridSection = field(default_factory=GridSection)
-    workload: WorkloadSection = field(default_factory=WorkloadSection)
-    execution: ExecutionConfig = field(default_factory=ExecutionConfig)
-    faults: Optional[FaultsSection] = None
-    data: Optional[DataSection] = None
-    calibration: Optional[CalibrationSection] = None
-    sweep: Optional[SweepSection] = None
+    name: str = declare("Unique pack name (the scenario registry key).", non_empty=True)
+    title: str = declare("One-line human title.", default="", publish_default=False)
+    description: str = declare(
+        "Free-form description of the study.", default="", publish_default=False)
+    tags: List[str] = declare("Free-form labels for filtering pack listings.",
+                              default_factory=list, publish_default=False)
+    grid: GridSection = declare(default_factory=GridSection)
+    workload: WorkloadSection = declare(default_factory=WorkloadSection)
+    execution: ExecutionConfig = declare(
+        default_factory=ExecutionConfig,
+        schema={
+            "anyOf": [{"$ref": "#/$defs/execution"},
+                      typed_schema("string", "Path to a classic execution config file.")],
+            "description": "Execution parameters, inline or as a file reference.",
+        })
+    faults: Optional[FaultsSection] = declare(default=None)
+    data: Optional[DataSection] = declare(default=None)
+    calibration: Optional[CalibrationSection] = declare(default=None)
+    sweep: Optional[SweepSection] = declare(default=None)
     #: Path of the file this pack was loaded from (``None`` for in-memory
     #: packs); relative file references inside the pack resolve against it.
-    source_path: Optional[Path] = None
+    source_path: Optional[Path] = field(default=None, init=False)
 
-    KNOWN_FIELDS = (
-        "name",
-        "title",
-        "description",
-        "tags",
-        "grid",
-        "workload",
-        "execution",
-        "faults",
-        "data",
-        "calibration",
-        "sweep",
-    )
+    def _calibration_or_sweep(self, ctx: str) -> None:
+        if self.calibration is not None and self.sweep is not None:
+            fail(ctx, "'calibration' and 'sweep' are mutually exclusive", "sweep")
+
+    def _calibration_runs_bare(self, ctx: str) -> None:
+        if self.calibration is not None and (self.faults or self.data):
+            fail(ctx, "calibration packs do not support 'faults' or 'data' sections",
+                 "calibration")
+
+    RULES = [
+        (
+            _calibration_or_sweep,
+            {
+                "not": {"properties": {"calibration": {"type": "object"},
+                                       "sweep": {"type": "object"}},
+                        "required": ["calibration", "sweep"]},
+                "$comment": "'calibration' and 'sweep' are mutually exclusive",
+            },
+        ),
+        (
+            _calibration_runs_bare,
+            {
+                "if": {"properties": {"calibration": {"type": "object"}},
+                       "required": ["calibration"]},
+                "then": {"properties": {"faults": {"type": "null"}, "data": {"type": "null"}},
+                         "$comment": "calibration packs do not support 'faults' or 'data'"},
+            },
+        ),
+    ]
 
     @classmethod
     def from_dict(
@@ -907,7 +724,7 @@ class ScenarioPack:
         every axis value is dry-applied and re-validated, so a bad value in
         the middle of an axis list is reported up front.
         """
-        data = _require_mapping(data, "scenario pack")
+        data = require_mapping(data, "scenario pack")
         name = data.get("name")
         if not name or not isinstance(name, str):
             where = f" ({source})" if source else ""
@@ -915,73 +732,14 @@ class ScenarioPack:
                 f"scenario pack{where}: 'name' is required and must be a string"
                 " (at /name)"
             )
-        ctx = _Ctx(f"scenario pack {name!r}")
-        _reject_unknown(data, cls.KNOWN_FIELDS, ctx)
-        tags = data.get("tags", [])
-        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-            raise ConfigurationError(
-                f"{ctx}: tags must be a list of strings{_at(ctx, 'tags')}"
-            )
-
-        execution_data = data.get("execution", {})
-        if isinstance(execution_data, str):
-            base = source.parent if source else Path.cwd()
+        fields = data
+        if isinstance(data.get("execution"), str):
             from repro.config.loaders import load_execution
 
-            execution = load_execution(_resolve(base, execution_data))
-        else:
-            _require_mapping(execution_data, ctx.child("execution", "execution"))
-            try:
-                execution = ExecutionConfig.from_dict(execution_data)
-            except ConfigurationError as exc:
-                raise ConfigurationError(
-                    f"{ctx}: {exc}{_at(ctx, 'execution')}"
-                ) from exc
-
-        pack = cls(
-            name=name,
-            title=str(data.get("title", "")),
-            description=str(data.get("description", "")),
-            tags=list(tags),
-            grid=GridSection.from_dict(data.get("grid", {}), ctx.child("grid", "grid")),
-            workload=WorkloadSection.from_dict(
-                data.get("workload", {}), ctx.child("workload", "workload")
-            ),
-            execution=execution,
-            faults=(
-                FaultsSection.from_dict(data["faults"], ctx.child("faults", "faults"))
-                if data.get("faults") is not None
-                else None
-            ),
-            data=(
-                DataSection.from_dict(data["data"], ctx.child("data", "data"))
-                if data.get("data") is not None
-                else None
-            ),
-            calibration=(
-                CalibrationSection.from_dict(
-                    data["calibration"], ctx.child("calibration", "calibration")
-                )
-                if data.get("calibration") is not None
-                else None
-            ),
-            sweep=(
-                SweepSection.from_dict(data["sweep"], ctx.child("sweep", "sweep"))
-                if data.get("sweep") is not None
-                else None
-            ),
-            source_path=Path(source) if source is not None else None,
-        )
-        if pack.calibration is not None and pack.sweep is not None:
-            raise ConfigurationError(
-                f"{ctx}: 'calibration' and 'sweep' are mutually exclusive"
-                f"{_at(ctx, 'sweep')}"
-            )
-        if pack.calibration is not None and (pack.faults or pack.data):
-            raise ConfigurationError(
-                f"{ctx}: calibration packs do not support 'faults' or 'data' sections"
-                f"{_at(ctx, 'calibration')}"
-            )
+            base = source.parent if source else Path.cwd()
+            fields = {**data, "execution": load_execution(_resolve(base, data["execution"]))}
+        pack = load(cls, fields, Ctx(f"scenario pack {name!r}"))
+        pack.source_path = Path(source) if source is not None else None
         if pack.sweep is not None:
             pack._validate_sweep_axes(data)
         return pack
@@ -993,12 +751,6 @@ class ScenarioPack:
         axes_pointer = join_pointer(["sweep", "axes"])
         for path, values in self.sweep.axes.items():
             pointer = axes_pointer + join_pointer([path])
-            if path.split(".")[0] in ("name", "title", "description", "tags", "sweep"):
-                raise ConfigurationError(
-                    f"scenario pack {self.name!r}: sweep: axis {path!r} must target "
-                    "a simulation field (grid/workload/execution/faults/data)"
-                    f" (at {pointer})"
-                )
             for index, value in enumerate(values):
                 try:
                     candidate = apply_overrides(base, {path: value})

@@ -5,10 +5,13 @@ registry (:mod:`repro.plugins.registry`) are the project's public surface.
 This package pins that surface as a machine-readable contract:
 
 * :func:`build_schema` generates a versioned JSON Schema (draft 2020-12)
-  for scenario packs **directly from the configuration dataclasses** --
-  field types, bounds, defaults and docstring descriptions come from the
-  code, and the plugin-name enums are pulled live from the registry -- so
-  the schema can never silently drift from the implementation.
+  for scenario packs by walking the configuration dataclasses
+  (:func:`dataclass_schema`): each field's type, bounds, choices, default
+  and description are the ones declared on the dataclass field
+  (:func:`repro.utils.fieldspec.declare`) -- the same declaration the eager
+  loader validates against -- and the plugin-name enums are pulled live
+  from the registry, so the schema and the loader cannot describe
+  different fields.
 * The generated document is committed at
   ``docs/schema/scenario-pack.schema.json``; ``repro schema check`` (run in
   CI) regenerates and diffs it, the same codegen-and-commit idiom the

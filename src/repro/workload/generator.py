@@ -20,13 +20,14 @@ Everything is deterministic for a given seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.config.infrastructure import InfrastructureConfig
 from repro.utils.errors import WorkloadError
+from repro.utils.fieldspec import check_declared, declare
 from repro.utils.rng import RandomSource
 from repro.workload.job import Job
 from repro.workload.patterns import poisson_arrivals
@@ -67,35 +68,27 @@ class WorkloadSpec:
         the paper's Figure 3.
     """
 
-    multicore_fraction: float = 0.4
-    multicore_cores: int = 8
-    walltime_median: float = 4 * 3600.0
-    walltime_sigma: float = 0.7
-    multicore_walltime_factor: float = 1.5
-    mean_input_files: float = 3.0
-    mean_output_files: float = 1.5
-    mean_file_size: float = 1.5e9
-    memory_per_core: float = 2 * 2**30
-    arrival_rate: Optional[float] = None
-    walltime_noise_sigma: float = 0.18
+    multicore_fraction: float = declare(
+        "Fraction of jobs requesting multicore_cores cores.", default=0.4, ge=0, le=1)
+    multicore_cores: int = declare("Core count of multi-core jobs.", default=8, ge=2)
+    walltime_median: float = declare(
+        "Median single-core walltime, seconds.", default=4 * 3600.0, gt=0)
+    walltime_sigma: float = declare("Lognormal sigma of walltimes.", default=0.7, ge=0)
+    multicore_walltime_factor: float = declare(
+        "Walltime multiplier for multi-core jobs.", default=1.5, gt=0)
+    mean_input_files: float = declare("Poisson mean of input-file counts.", default=3.0, ge=0)
+    mean_output_files: float = declare("Poisson mean of output-file counts.", default=1.5, ge=0)
+    mean_file_size: float = declare("Mean file size in bytes.", default=1.5e9, ge=0)
+    memory_per_core: float = declare(
+        "Memory requested per core, bytes.", default=2 * 2**30, ge=0)
+    arrival_rate: Optional[float] = declare(
+        "Poisson arrival rate (jobs/s); null submits at t=0.", default=None, gt=0,
+        publish_default=True)
+    walltime_noise_sigma: float = declare(
+        "Lognormal sigma of per-job walltime discrepancy.", default=0.18, ge=0)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.multicore_fraction <= 1:
-            raise WorkloadError("multicore_fraction must lie in [0, 1]")
-        if self.multicore_cores < 2:
-            raise WorkloadError("multicore_cores must be >= 2")
-        if self.walltime_median <= 0 or self.walltime_sigma < 0:
-            raise WorkloadError("walltime parameters must be positive")
-        if self.multicore_walltime_factor <= 0:
-            raise WorkloadError("multicore_walltime_factor must be positive")
-        if self.mean_input_files < 0 or self.mean_output_files < 0:
-            raise WorkloadError("file-count means must be >= 0")
-        if self.mean_file_size < 0:
-            raise WorkloadError("mean_file_size must be >= 0")
-        if self.arrival_rate is not None and self.arrival_rate <= 0:
-            raise WorkloadError("arrival_rate must be positive when given")
-        if self.walltime_noise_sigma < 0:
-            raise WorkloadError("walltime_noise_sigma must be >= 0")
+        check_declared(self, error=WorkloadError)
 
 
 class SyntheticWorkloadGenerator:

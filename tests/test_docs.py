@@ -76,6 +76,55 @@ class TestGeneratedCookbook:
         assert "GENERATED FILE" in cookbook
 
 
+class TestSchemaReferenceTables:
+    """docs/scenarios/schema.md is hand-written prose around one table per
+    section; each table must list exactly the fields its dataclass declares."""
+
+    def _tables(self):
+        """{heading: field names in the first column of the table under it}."""
+        page = (DOCS_DIR / "scenarios" / "schema.md").read_text(encoding="utf-8")
+        tables, heading = {}, None
+        for line in page.splitlines():
+            if line.startswith("#"):
+                heading = line.lstrip("# ").strip()
+            elif line.startswith("| `") and heading:
+                first_cell = line.split("|")[1]
+                tables.setdefault(heading, []).extend(re.findall(r"`(\w+)`", first_cell))
+        return tables
+
+    def test_each_section_table_lists_exactly_the_declared_fields(self):
+        from repro.config.execution import (
+            ExecutionConfig,
+            MonitoringConfig,
+            OutputConfig,
+            StopConfig,
+        )
+        from repro.scenarios import schema as sections
+        from repro.utils.fieldspec import declared_fields
+
+        documented = {
+            "Top level": sections.ScenarioPack,
+            "grid": sections.GridSection,
+            "workload": sections.WorkloadSection,
+            "execution": ExecutionConfig,
+            "execution.monitoring": MonitoringConfig,
+            "execution.output": OutputConfig,
+            "execution.stop": StopConfig,
+            "faults": sections.FaultsSection,
+            "data": sections.DataSection,
+            "data.cache": sections.CacheSection,
+            "calibration": sections.CalibrationSection,
+            "sweep": sections.SweepSection,
+        }
+        tables = self._tables()
+        assert set(tables) == set(documented), "a section table appeared or vanished"
+        for heading, cls in documented.items():
+            assert sorted(tables[heading]) == sorted(declared_fields(cls)), (
+                f"docs/scenarios/schema.md table {heading!r} does not match "
+                f"the fields {cls.__name__} declares"
+            )
+
+
 class TestGeneratedReference:
     def test_reference_pages_are_in_sync_with_the_code(self):
         """docs/reference/ must match the packages' current __all__ surfaces."""

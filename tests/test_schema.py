@@ -39,6 +39,7 @@ from repro.schema import (
     validate_pack_dict,
 )
 from repro.utils.errors import ConfigurationError
+from repro.utils.fieldspec import declared_fields
 from repro.utils.jsonpointer import (
     escape_token,
     join_pointer,
@@ -220,6 +221,151 @@ class TestValidatorRejections:
     def test_unknown_keyword_in_schema_is_loud(self):
         with pytest.raises(ConfigurationError, match="unsupported"):
             validate_instance({"x": 1}, {"type": "object", "unevaluatedProperties": False})
+
+
+def _full_pack():
+    """A valid pack with every section a violation can be planted in."""
+    from repro.config.execution import ExecutionConfig
+
+    execution = ExecutionConfig().to_dict()
+    execution["stop"] = {"max_finished_jobs": 5}
+    return {
+        "name": "t", "title": "T", "description": "d", "tags": ["a"],
+        "grid": {"kind": "synthetic", "sites": 3},
+        "workload": {"generator": "synthetic", "jobs": 10, "spec": {"walltime_sigma": 0.5}},
+        "execution": execution,
+        "faults": {"job_failures": {"default_rate": 0.1}},
+        "data": {"datasets": 4, "cache": {"policy": "lru"}},
+        "sweep": {"axes": {"workload.jobs": [5, 6]}},
+    }
+
+
+def _calibration_pack():
+    return {"name": "t", "calibration": {"budget": 2}}
+
+
+def _declared_classes(cls=ScenarioPack, path=()):
+    """Every (pointer tokens, dataclass) reachable from the pack's fields."""
+    yield path, cls
+    for name, field in declared_fields(cls).items():
+        nested = field.section or field.checked_as
+        if nested is not None:
+            yield from _declared_classes(nested, path + (name,))
+
+
+#: A value of the wrong JSON type for each kind of declared field.
+_WRONG_TYPE = {"integer": "x", "number": "x", "string": 5, "boolean": "yes",
+               "object": [1], "array": "x", "section": 5}
+
+
+def _violations(field):
+    """Each way the declaration of ``field`` lets a document be wrong."""
+    if field.choices:
+        yield "outside-choices", "__nope__"
+    elif field.quantity:
+        yield "wrong-type", [1]
+    else:
+        yield "wrong-type", _WRONG_TYPE[field.kind]
+    if field.kind in ("integer", "number") or field.quantity:
+        yield "bool-is-not-a-number", True
+    if not field.nullable:
+        yield "null", None
+    if field.non_empty:
+        yield "empty", ""
+    if field.ge is not None:
+        yield "below-minimum", field.ge - 1
+    if field.gt is not None:
+        yield "at-exclusive-minimum", field.gt
+    if field.le is not None:
+        yield "above-maximum", field.le + 1
+
+
+def _generated_cases():
+    for path, cls in _declared_classes():
+        yield pytest.param(path + ("__unknown__",), 1, id=join_pointer(path) + "/-unknown-key")
+        for name, field in declared_fields(cls).items():
+            for label, value in _violations(field):
+                yield pytest.param(path + (name,), value,
+                                   id=f"{join_pointer(path + (name,))}-{label}")
+
+
+#: The packs quoted in ISSUE 16: the first three crashed the eager loader with
+#: a raw TypeError / ValueError, the rest were silently accepted by it while
+#: the published schema rejected them.
+_DRIFTED_AT_PR15 = [
+    (("execution", "monitoring", "enable_event"), False),
+    (("execution", "seed"), "x"),
+    (("execution", "monitoring", "batch_size"), "8"),
+    (("execution", "max_retries"), 1.7),
+    (("execution", "monitoring", "enable_events"), "no"),
+    (("execution", "output", "sqlite_path"), 5),
+    (("workload", "trace"), 5),
+    (("title",), 5),
+    (("execution", "plugin_options"), [1]),
+    (("execution", "stop", "check_every"), 1.5),
+    (("execution", "monitoring", "keep_in_memory"), 1),
+    (("execution", "output", "ml_dataset"), "yes"),
+    (("execution", "output", "csv_directory"), 5),
+    (("description",), 5),
+]
+
+
+class TestLoaderAndSchemaAgree:
+    """The eager loader and the published schema read one declaration, so a
+    document one rejects the other rejects too, at the same JSON pointer.
+    The cases are generated from the dataclass field table: a new field, bound
+    or choice list is covered without touching this file."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        list(_generated_cases())
+        + [pytest.param(path, value, id=f"drifted-{join_pointer(path)}")
+           for path, value in _DRIFTED_AT_PR15],
+    )
+    def test_violation_is_rejected_by_both_at_the_same_pointer(self, path, value, schema):
+        data = _calibration_pack() if path[0] == "calibration" else _full_pack()
+        node = data
+        for token in path[:-1]:
+            node = node.setdefault(token, {})
+        node[path[-1]] = value
+        pointer = join_pointer(path)
+
+        with pytest.raises(ConfigurationError) as caught:
+            ScenarioPack.from_dict(data)
+        assert str(caught.value).endswith(f"(at {pointer})"), str(caught.value)
+        assert "scenario pack" in str(caught.value)
+        assert pointer in [error.pointer for error in validate_instance(data, schema)]
+
+    @pytest.mark.parametrize("base", [_full_pack, _calibration_pack])
+    def test_base_packs_are_valid(self, base, schema):
+        assert validate_instance(base(), schema) == []
+        ScenarioPack.from_dict(base())
+
+    def test_every_section_class_is_generated_for(self):
+        names = {cls.__name__ for _path, cls in _declared_classes()}
+        assert names == {
+            "ScenarioPack", "GridSection", "WorkloadSection", "WorkloadSpec",
+            "ExecutionConfig", "MonitoringConfig", "OutputConfig", "StopConfig",
+            "FaultsSection", "DataSection", "CacheSection", "CalibrationSection",
+            "SweepSection",
+        }
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_sampled_pack_is_accepted_by_both(self, seed, schema):
+        data = sample_pack(schema, np.random.default_rng(seed))
+        assert validate_instance(data, schema) == []
+        ScenarioPack.from_dict(data)
+
+    def test_direct_construction_reads_the_same_bounds_leniently(self):
+        from repro.config.execution import ExecutionConfig, StopConfig
+
+        config = ExecutionConfig(dispatch_interval="5s", seed=np.int64(3), max_retries=2.0)
+        assert (config.dispatch_interval, config.seed, config.max_retries) == (5.0, 3, 2)
+        assert type(config.seed) is int
+        with pytest.raises(ConfigurationError, match="max_retries must be >= 0"):
+            ExecutionConfig(max_retries=-1)
+        with pytest.raises(ConfigurationError, match="check_every must be >= 1"):
+            StopConfig(check_every=0)
 
 
 class TestSampledRoundTrip:
