@@ -7,6 +7,11 @@ assigned site's queue.  If no suitable resource is found, the job goes to a
 *pending list*; whenever a resource on the grid becomes available (a job
 finishes) -- or periodically as a fallback -- the pending list is revisited.
 The simulation finishes once every job has been assigned and executed.
+
+The periodic fallback is a *sweep grid*: the times ``t0 + interval``,
+``+ interval``, ... a perpetual sweeper started with the server would wake at.
+A tick is on the event calendar only while the pending list is non-empty, so
+an idle server costs the kernel nothing and a finished run leaves no timer.
 """
 
 from __future__ import annotations
@@ -83,7 +88,9 @@ class MainServer:
         Simulated seconds consumed per dispatched job (workload-management
         latency).
     pending_retry_interval:
-        Period of the fallback pending-list sweep.
+        Period of the fallback pending-list sweep: parked jobs are retried at
+        the server's start time plus whole multiples of it (summed one period
+        at a time), besides on every job completion.
     max_retries:
         Automatic resubmissions of failed jobs (0 disables retries).  Each
         retry is a fresh attempt with the same static job record; the failed
@@ -163,7 +170,11 @@ class MainServer:
             site.completion_callbacks.append(self._on_job_completed)
 
         self._sender_process = env.process(self._sender())
-        self._retry_process = env.process(self._pending_sweeper())
+        #: The next time on the sweep grid not known to have passed (an empty
+        #: workload's sweeper would exit as it starts: ``expect`` restarts its grid).
+        self._next_sweep = env.now + (self.pending_retry_interval if self.total_jobs else 0.0)
+        #: The tick on the calendar at ``_next_sweep`` while jobs are pending.
+        self._sweep_tick: Optional[Event] = None
 
     # -- resource view ------------------------------------------------------------
     def resource_view(self) -> ResourceView:
@@ -198,10 +209,12 @@ class MainServer:
 
         Raises :attr:`total_jobs` so the completion accounting waits for the
         newcomers.  If the run had already completed (:attr:`all_done`
-        triggered), a *fresh* ``all_done`` event is armed and the pending-list
-        sweeper restarted, so a finished session becomes runnable again --
-        the open-workload contract behind
-        :meth:`repro.core.session.SimulationSession.submit`.
+        triggered), a *fresh* ``all_done`` event is armed, so a finished
+        session becomes runnable again -- the open-workload contract behind
+        :meth:`repro.core.session.SimulationSession.submit`.  The sweep grid
+        carries on unless one of its ticks has passed since the run completed
+        (a perpetual sweeper would have woken to the finished run and exited);
+        then it restarts here, first tick one interval from now.
         """
         count = int(count)
         if count < 0:
@@ -211,12 +224,8 @@ class MainServer:
         self.total_jobs += count
         if self.all_done.triggered:
             self.all_done = self.env.event()
-            # The sweeper exits only when it *wakes* to a triggered all_done;
-            # if the old one is still parked on its next timeout it re-reads
-            # the fresh event and keeps serving -- spawning another here
-            # would leak one perpetual sweeper per re-arm.
-            if self._retry_process.triggered:
-                self._retry_process = self.env.process(self._pending_sweeper())
+            if self._next_sweep < self.env.now:
+                self._next_sweep = self.env.now + self.pending_retry_interval
             for listener in self.rearm_listeners:
                 listener()
 
@@ -272,6 +281,8 @@ class MainServer:
         if job.state is JobState.CREATED:
             job.advance(JobState.PENDING, self.env.now)
         self.pending.append(job)
+        if self._sweep_tick is None:
+            self._arm_sweep()
         self._record(job, JobState.PENDING, "")
         self.logger.debug("server", f"job {job.job_id} pending", pending=len(self.pending))
 
@@ -287,12 +298,31 @@ class MainServer:
         """Re-run the policy over the pending list (oldest first)."""
         if self.pending:
             self.pending = [job for job in self.pending if not self._place(job)]
+            if not self.pending and self._sweep_tick is not None:
+                self.env.unschedule(self._sweep_tick, at=self._next_sweep)
+                self._sweep_tick = None
 
-    def _pending_sweeper(self):
+    def _sweep_grid_after(self, time: float) -> float:
+        """Move the grid to its first tick after ``time``, by the additions a
+        perpetual sweeper's timeouts would have made (``now + interval`` each
+        time it woke), so the tick is the bit-identical float."""
+        while self._next_sweep <= time:
+            self._next_sweep += self.pending_retry_interval
+        return self._next_sweep
+
+    def _arm_sweep(self) -> None:
+        """Put the next grid tick on the calendar (``pending`` just became non-empty)."""
+        tick = self._sweep_tick = Event(self.env)
+        tick._ok, tick._value = True, None
+        tick.callbacks.append(self._sweep)
+        self.env.schedule(tick, at=self._sweep_grid_after(self.env.now))
+
+    def _sweep(self, _tick: Event) -> None:
         """Fallback periodic sweep of the pending list."""
-        while not self.all_done.triggered:
-            yield self.env.timeout(self.pending_retry_interval)
-            self._retry_pending()
+        self._sweep_tick = None
+        self._retry_pending()
+        if self.pending:
+            self._arm_sweep()
 
     # -- completion handling ----------------------------------------------------------
     def _on_job_completed(self, job: Job) -> None:
@@ -306,6 +336,8 @@ class MainServer:
         if len(self.completed) >= self.total_jobs and not self.all_done.triggered:
             self.policy.finalize()
             self.all_done.succeed(len(self.completed))
+            # The first tick a perpetual sweeper would wake to the finished run at.
+            self._sweep_grid_after(self.env.now)
         for listener in self.completion_listeners:
             listener(job)
 
@@ -335,17 +367,19 @@ class MainServer:
         self._dispatch(attempt)
 
     # -- checkpoint support ------------------------------------------------------------
-    # cgsim: lint-ignore[snap-field-coverage] the retry sweeper process is rebuilt by replay
     def snapshot(self) -> dict:
-        """Capture the dispatch state: totals, pending ids, assignments, retries.
+        """Capture the dispatch state: totals, pending ids, assignments, retries, sweep.
 
         Part of the :class:`repro.state.Snapshottable` protocol.  Everything
-        here is replay-derived (the sender/sweeper processes rebuild it when
-        the session re-executes its op log), so the snapshot serves as the
-        verification record a restore is checked against -- job ids in the
-        pending list keep arrival order, which replay must reproduce exactly.
+        here is replay-derived (the sender process and the completion
+        callbacks rebuild it when the session re-executes its op log), so the
+        snapshot serves as the verification record a restore is checked
+        against -- job ids in the pending list keep arrival order, and the
+        sweep grid its float, which replay must reproduce exactly.
         """
         return {
+            "next_sweep": self._next_sweep,
+            "sweep_armed": self._sweep_tick is not None,
             "total_jobs": self.total_jobs,
             "completed": len(self.completed),
             "pending": [int(job.job_id) for job in self.pending],

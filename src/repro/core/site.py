@@ -7,17 +7,25 @@ and finally stages the output.  Admission is FIFO (a wide job at the head of
 the queue waits for enough cores before narrower jobs behind it are
 considered), matching how a simple batch queue without backfilling behaves;
 backfilling can instead be expressed at the allocation-policy level.
+
+Only the receiver is a process.  An admitted job is one :class:`_Execution`
+whose steps run as callbacks on the events it waits for: no process per job
+and no event nobody waits on ("What one job costs the calendar" in
+``docs/architecture.md`` has the count and the two ordering rules the receiver
+keeps so that results stay bit-identical).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Deque, List, Optional
 
 from repro.config.infrastructure import SiteConfig
-from repro.des import Environment, Event, Store
+from repro.des import Environment, Event
+from repro.des.resources import Request
 from repro.platform.host import Host
 from repro.platform.platform import Platform
-from repro.utils.errors import CheckpointError, SchedulingError
+from repro.utils.errors import CheckpointError
 from repro.utils.logging import NullLogger, SimLogger
 from repro.workload.job import Job, JobState
 
@@ -86,9 +94,11 @@ class SiteRuntime:
         self.logger = logger or NullLogger()
 
         #: Local job queue the main server pushes into (the paper's site queue).
-        self.queue: Store = Store(env)
-        #: Event re-created every time cores are released; admission waits on it.
-        self._capacity_event: Event = env.event()
+        self.queue: Deque[Job] = deque()
+        #: The receiver's request for its next job while the queue is empty.
+        self._idle: Optional[Event] = None
+        #: What the receiver waits on while no host fits the job at the head.
+        self._capacity_event: Optional[Event] = None
         #: Whether the site currently admits jobs (outage injection toggles this).
         self.online: bool = True
         #: Event re-created on every outage; admission waits on it while offline.
@@ -112,7 +122,20 @@ class SiteRuntime:
     def submit(self, job: Job) -> None:
         """Place ``job`` into the site's local queue (called by the main server)."""
         self.assigned_jobs += 1
-        self.queue.put(job)
+        if self._idle is None:
+            self.queue.append(job)
+        else:
+            waiting, self._idle = self._idle, None
+            waiting.succeed(job)
+
+    def _next_job(self) -> Event:
+        """Take the head of the queue; the event carries it one calendar hop later."""
+        event = self.env.event()
+        if self.queue:
+            event.succeed(self.queue.popleft())
+        else:
+            self._idle = event
+        return event
 
     @property
     def queued_jobs(self) -> int:
@@ -139,7 +162,7 @@ class SiteRuntime:
         return self.zone.max_host_cores
 
     # -- checkpoint support -------------------------------------------------------
-    # cgsim: lint-ignore[snap-field-coverage] the queue store and availability events are rebuilt by replay
+    # cgsim: lint-ignore[snap-field-coverage] the job queue and the events the receiver waits on are rebuilt by replay
     def snapshot(self) -> dict:
         """Capture the site's checkpointable counters and availability state.
 
@@ -147,16 +170,23 @@ class SiteRuntime:
         depth, per-state job counters, free cores and the outage bookkeeping
         are all replay-derived, so this snapshot is the per-site
         verification record a checkpoint restore is compared against.  The
-        zone's incrementally maintained core counters are audited against a
-        scan of its hosts on the way (:class:`CheckpointError` on mismatch).
+        zone's incrementally maintained core counters and its free-core host
+        order are audited against a scan of its hosts on the way
+        (:class:`CheckpointError` on mismatch).
         """
         cores = [host.cores for host in self.zone]
-        scan = (sum(cores), sum(h.available_cores for h in self.zone), max(cores, default=0))
+        free = sorted((host.available_cores, host.name) for host in self.zone)
+        scan = (sum(cores), sum(count for count, _ in free), max(cores, default=0))
         counters = (self.total_cores, self.available_cores, self.max_host_cores())
         if counters != scan:
             raise CheckpointError(
                 f"site {self.name!r}: core counters (total, free, widest host) "
                 f"{counters} disagree with the host scan {scan}"
+            )
+        if self.zone.free_core_order() != free:
+            raise CheckpointError(
+                f"site {self.name!r}: the free-core host order {self.zone.free_core_order()} "
+                f"disagrees with the host scan {free} (a pool changed without NetZone.refile)"
             )
         return {
             "queued": self.queued_jobs,
@@ -174,8 +204,8 @@ class SiteRuntime:
     def restore(self, state: dict) -> None:
         """Verify the replayed site matches a snapshot (replay-derived state).
 
-        The receiver/executor processes are rebuilt by replaying the event
-        stream; ``restore`` therefore checks the live counters against the
+        The receiver process and the running executions are rebuilt by replaying
+        the event stream; ``restore`` therefore checks the live counters against the
         snapshot and raises :class:`~repro.utils.errors.CheckpointError`
         naming every divergent field.
         """
@@ -210,120 +240,40 @@ class SiteRuntime:
 
     # -- internal actors -----------------------------------------------------------
     def _receiver(self):
-        """The receiver actor: admit jobs FIFO, run each in its own process."""
+        """The receiver actor: admit jobs FIFO, start each as an :class:`_Execution`."""
+        next_job = self._next_job()
         while True:
-            get_event = self.queue.get()
-            job = yield get_event
+            job = yield next_job
             # During an outage the queue keeps accumulating but nothing is
             # admitted until the site comes back online.
             while not self.online:
                 yield self._online_event
-            host = yield from self._wait_for_host(job)
-            # Start the execution handler; admission then moves to the next job.
-            self.env.process(self._execute(job, host))
-
-    def _wait_for_host(self, job: Job):
-        """Block until some host can fit ``job``; reserve its cores and return it."""
-        if job.cores > self.max_host_cores():
-            # This should have been filtered by the policy; fail the job
-            # rather than dead-locking the whole site queue.
-            self._fail(job, f"no host at {self.name} has {job.cores} cores")
-            # Return a sentinel the caller understands.
-            return None
-        while True:
-            host = self._pick_host(job.cores)
-            if host is not None:
-                request = host.core_pool.request(amount=job.cores)
-                yield request
-                return (host, request)
-            yield self._capacity_event
-
-    def _pick_host(self, cores: int) -> Optional[Host]:
-        """Best-fit host with at least ``cores`` free cores (None if none)."""
-        if self.zone.available_cores < cores:
-            return None
-        # Best fit: smallest sufficient free-core count, ties by name.
-        best, best_key = None, None
-        for host in self.zone:
-            free = host.available_cores
-            if free >= cores and (best is None or (free, host.name) < best_key):
-                best, best_key = host, (free, host.name)
-        return best
+            if job.cores > self.max_host_cores():
+                # This should have been filtered by the policy; fail the job
+                # rather than dead-locking the whole site queue.
+                self._fail(job, f"no host at {self.name} has {job.cores} cores")
+                next_job = self._next_job()
+                continue
+            host = self.zone.best_fit(job.cores)
+            while host is None:
+                self._capacity_event = self.env.event()
+                yield self._capacity_event
+                host = self.zone.best_fit(job.cores)
+            request = host.core_pool.request(amount=job.cores)
+            self.zone.refile(host)
+            # Granted at once, yet the receiver resumes only when the grant is
+            # processed: that hop orders same-timestamp admissions across sites.
+            yield request
+            # The next job leaves the queue *before* this one starts: its
+            # RUNNING row reports the queue as it is after this pop.
+            next_job = self._next_job()
+            _Execution(self, job, host, request).advance()
 
     def _signal_capacity(self) -> None:
-        """Wake the admission loop after cores were released."""
-        event, self._capacity_event = self._capacity_event, self.env.event()
-        event.succeed()
-
-    def _execute(self, job: Job, allocation):
-        """Run one admitted job: stage-in, execute, stage-out, record."""
-        if allocation is None:
-            return
-        host, request = allocation
-        try:
-            needs_input = self.data_manager is not None and job.input_size > 0
-            streaming = self.streaming_io and needs_input
-
-            # Conventional pipeline: input staging completes before compute.
-            if needs_input and not streaming:
-                job.advance(JobState.TRANSFERRING, self.env.now)
-                self._record(job, JobState.TRANSFERRING)
-                yield self.data_manager.stage_in(job, self.name)
-
-            job.advance(JobState.RUNNING, self.env.now)
-            self.running_jobs += 1
-            self._record(job, JobState.RUNNING)
-
-            duration = host.duration_for(
-                job.work, cores=job.cores, efficiency=self.parallel_efficiency
-            )
-            duration += self.config.walltime_overhead
-
-            failure_fraction = None
-            if self.failure_model is not None:
-                failure_fraction = self.failure_model.failure_fraction(job, self.name)
-            if failure_fraction is not None:
-                # The job dies partway through: the cores are wasted for the
-                # completed fraction, then released; listeners see a failure.
-                wasted = duration * failure_fraction
-                yield self.env.timeout(wasted)
-                host.account_busy(job.cores, wasted)
-                self.running_jobs -= 1
-                self._fail(
-                    job,
-                    f"injected failure after {failure_fraction:.0%} of execution",
-                )
-                return
-
-            if streaming:
-                # Streaming/pipelined I/O (DCSim-style): the input is read
-                # while the job computes, so the job holds its cores for
-                # max(stage-in, compute) rather than their sum.
-                stage_in = self.data_manager.stage_in(job, self.name)
-                compute = self.env.timeout(duration)
-                yield self.env.all_of([stage_in, compute])
-                host.account_busy(job.cores, self.env.now - job.start_time)
-            else:
-                yield self.env.timeout(duration)
-                host.account_busy(job.cores, duration)
-
-            # Output staging (optional).
-            if self.data_manager is not None and job.output_size > 0:
-                yield self.data_manager.stage_out(job, self.name)
-
-            self.running_jobs -= 1
-            self.finished_jobs += 1
-            job.advance(JobState.FINISHED, self.env.now)
-            self.completed.append(job)
-            self._record(job, JobState.FINISHED)
-            self._notify_completion(job)
-        except Exception as exc:  # noqa: BLE001 - convert into a failed job
-            if job.state is JobState.RUNNING:
-                self.running_jobs -= 1
-            self._fail(job, str(exc))
-        finally:
-            host.core_pool.release(request)
-            self._signal_capacity()
+        """Wake the admission loop if it is waiting for cores."""
+        event, self._capacity_event = self._capacity_event, None
+        if event is not None:
+            event.succeed()
 
     def _fail(self, job: Job, reason: str) -> None:
         """Mark ``job`` failed and notify listeners."""
@@ -357,3 +307,105 @@ class SiteRuntime:
             f"<SiteRuntime {self.name} queued={self.queued_jobs} running={self.running_jobs} "
             f"finished={self.finished_jobs}>"
         )
+
+
+class _Execution:
+    """One admitted job from stage-in to its terminal state, without a process.
+
+    :meth:`advance` runs the job's steps -- each names its successor in
+    ``step`` and returns the event it waits for -- and registers itself on
+    that event, so the job resumes as a plain kernel callback.  Only a step
+    (staging, the duration, the failure model) or a failed event fails the
+    job; :meth:`_end` books the terminal state and notifies the listeners
+    outside that handler, so their exceptions surface from ``env.run``.
+    """
+
+    __slots__ = ("site", "job", "host", "request", "step", "held", "failure")
+
+    def __init__(self, site: SiteRuntime, job: Job, host: Host, request: Request) -> None:
+        self.site, self.job, self.host, self.request = site, job, host, request
+        stage_first = site.data_manager is not None and job.input_size > 0 and not site.streaming_io
+        self.step = self._stage_in if stage_first else self._compute
+        #: Seconds the cores count as busy (``None``: measured, streaming I/O).
+        self.held: Optional[float] = None
+        #: Why the job fails once its cores have been held (an injected failure).
+        self.failure: Optional[str] = None
+
+    def advance(self, event: Optional[Event] = None) -> None:
+        """Run steps until one has to wait for an event not yet processed."""
+        while True:
+            if event is not None:
+                if event.callbacks is not None:
+                    event.callbacks.append(self.advance)
+                    return
+                if not event._ok:
+                    event.defused = True  # handled: it fails this job
+                    return self._end(str(event._value))
+            if self.step is None:
+                return self._end(self.failure)
+            try:
+                event = self.step()
+            except Exception as exc:  # noqa: BLE001 - convert into a failed job
+                return self._end(str(exc))
+
+    def _stage_in(self) -> Event:
+        """Conventional pipeline: input staging completes before compute."""
+        site, job = self.site, self.job
+        job.advance(JobState.TRANSFERRING, site.env.now)
+        site._record(job, JobState.TRANSFERRING)
+        self.step = self._compute
+        return site.data_manager.stage_in(job, site.name)
+
+    def _compute(self) -> Event:
+        site, job, env = self.site, self.job, self.site.env
+        job.advance(JobState.RUNNING, env.now)
+        site.running_jobs += 1
+        site._record(job, JobState.RUNNING)
+        duration = self.host.duration_for(
+            job.work, cores=job.cores, efficiency=site.parallel_efficiency
+        )
+        duration += site.config.walltime_overhead
+        self.step = self._computed
+        if site.failure_model is not None:
+            fraction = site.failure_model.failure_fraction(job, site.name)
+            if fraction is not None:
+                # The job dies partway through: the cores are wasted for the
+                # completed fraction, then released; listeners see a failure.
+                self.held = duration * fraction
+                self.failure = f"injected failure after {fraction:.0%} of execution"
+                return env.timeout(self.held)
+        if site.streaming_io and site.data_manager is not None and job.input_size > 0:
+            # Streaming/pipelined I/O (DCSim-style): the input is read while
+            # the job computes, so the job holds its cores for
+            # max(stage-in, compute) rather than their sum.
+            return env.all_of([site.data_manager.stage_in(job, site.name), env.timeout(duration)])
+        self.held = duration
+        return env.timeout(duration)
+
+    def _computed(self) -> Optional[Event]:
+        site, job = self.site, self.job
+        held = self.held if self.held is not None else site.env.now - job.start_time
+        self.host.account_busy(job.cores, held)
+        self.step = None
+        if self.failure is None and site.data_manager is not None and job.output_size > 0:
+            return site.data_manager.stage_out(job, site.name)
+        return None
+
+    def _end(self, failure: Optional[str]) -> None:
+        """Book the terminal state and tell the listeners, then hand the cores back."""
+        site, job = self.site, self.job
+        try:
+            if job.state is JobState.RUNNING:
+                site.running_jobs -= 1
+            if failure is not None:
+                site._fail(job, failure)
+            else:
+                site.finished_jobs += 1
+                job.advance(JobState.FINISHED, site.env.now)
+                site.completed.append(job)
+                site._record(job, JobState.FINISHED)
+                site._notify_completion(job)
+        finally:
+            self.request.cancel()  # the cores return without a Release event
+            site.zone.refile(self.host)
+            site._signal_capacity()

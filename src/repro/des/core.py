@@ -19,6 +19,9 @@ callbacks, which in turn resume the generator processes waiting on them.
 The public surface (``timeout`` / ``process`` / ``schedule`` / ``step`` /
 ``run``) follows the conventional process-based DES structure so that the
 simulation core reads like ordinary SimPy/SimGrid-style actor code.
+``schedule(event, at=t)`` files an event under an absolute time (a float a
+caller summed itself, bit for bit) and ``unschedule`` takes one back; a time
+left without events is skipped, so the clock never stops where nothing happens.
 
 Hot-path notes
 --------------
@@ -207,12 +210,24 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------------
-    def schedule(self, event: Event, priority: int = NORMAL_PRIORITY, delay: float = 0.0) -> None:
-        """Place a triggered event on the calendar ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
+    def schedule(self, event: Event, priority: int = NORMAL_PRIORITY, delay: float = 0.0,
+                 at: Optional[float] = None) -> None:
+        """Place a triggered event on the calendar ``delay`` seconds from now.
+
+        ``at`` names the absolute time instead: the event is filed under that
+        very float, where ``delay=at - now`` files it under ``now + (at - now)``
+        -- often a neighbouring float, hence another bucket.  A periodic grid
+        kept as ``tick += period`` needs the former.
+        """
         now = self._now
-        when = now + delay
+        if at is None:
+            if delay < 0:
+                raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
+            when = now + delay
+        elif at < now:
+            raise SimulationError(f"cannot schedule an event in the past (at={at}, now={now})")
+        else:
+            when = float(at)
         if priority == NORMAL_PRIORITY:
             if when > now:
                 buckets = self._buckets
@@ -239,12 +254,29 @@ class Environment:
                 if when > now and when not in self._buckets:
                     heappush(self._times, when)
 
+    def unschedule(self, event: Event, at: float) -> None:
+        """Take a normal-priority event filed under time ``at`` back off the calendar.
+
+        A time left without events is no longer a stop of the clock: its heap
+        entry is dropped lazily by :meth:`_advance` / :meth:`peek`, so a drain
+        never moves ``now`` to a moment at which nothing happens.
+        """
+        bucket = self._ready if at == self._now else self._buckets.get(at, ())
+        if event not in bucket:
+            raise SimulationError(f"{event!r} is not scheduled at t={at}")
+        bucket.remove(event)
+        if len(bucket) == 1 and bucket is not self._ready:
+            del self._buckets[at]
+
     def peek(self) -> float:
         """Return the time of the next scheduled event (``inf`` if none)."""
         ready = self._ready
         if ready[0] < len(ready) or self._now in self._pri_buckets:
             return self._now
-        return self._times[0] if self._times else _INF
+        times = self._times
+        while times and times[0] not in self._buckets and times[0] not in self._pri_buckets:
+            heappop(times)  # everything filed under it was unscheduled
+        return times[0] if times else _INF
 
     @property
     def queue_length(self) -> int:
@@ -320,15 +352,18 @@ class Environment:
         Adopts the next time's whole bucket as the new ready list.
         """
         times = self._times
-        if not times:
-            return False
-        when = heappop(times)
-        if when < self._now:
-            self._check_clock(when)
-        else:
-            self._now = when
-        self._ready = self._buckets.pop(when, None) or [1]
-        return True
+        while times:
+            when = heappop(times)
+            bucket = self._buckets.pop(when, None)
+            if bucket is None and when not in self._pri_buckets:
+                continue  # everything filed under it was unscheduled
+            if when < self._now:
+                self._check_clock(when)
+            else:
+                self._now = when
+            self._ready = bucket or [1]
+            return True
+        return False
 
     def step(self) -> None:
         """Process exactly one event; raise :class:`IndexError` if none remain."""

@@ -1,9 +1,9 @@
 """Object stores (mailboxes / queues) for the discrete-event kernel.
 
-Stores are the communication primitive the CGSim core uses between the main
-server's *sender* actor and each site's *receiver* actor: the sender ``put``s
-job descriptors into a site's store, the receiver ``get``s them as capacity
-frees up.
+Stores are the communication primitive the CGSim core uses between the job
+manager's feeder and the main server's *sender* actor: the feeder ``put``s
+job descriptors into the server's inbox, the sender ``get``s them one
+dispatch at a time.
 
 * :class:`Store` -- unbounded-or-bounded FIFO of arbitrary Python objects.
 * :class:`FilterStore` -- ``get(filter=...)`` retrieves the first item
@@ -14,8 +14,8 @@ frees up.
 Hot-path notes
 --------------
 :class:`Store` keeps items and waiters in deques: ``get`` pops the head in
-O(1) where a list would memmove the whole backlog, which matters for the
-site queues that accumulate thousands of jobs.  :class:`FilterStore`
+O(1) where a list would memmove the whole backlog, which matters for an
+inbox that accumulates thousands of jobs.  :class:`FilterStore`
 (arbitrary removal) and :class:`PriorityStore` (heap-ordered items) override
 the container choices they need.  All store events declare ``__slots__``.
 """

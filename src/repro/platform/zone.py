@@ -10,7 +10,8 @@ table maintained by :class:`~repro.platform.platform.Platform`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from bisect import bisect_left, insort
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.des.resources import Tally
 from repro.platform.host import Host
@@ -52,6 +53,10 @@ class NetZone:
         self.total_cores = 0
         self.max_host_cores = 0
         self._busy = Tally()
+        #: The hosts ordered by (free cores, name) and the count each is filed
+        #: under; whoever changes a host's pool calls :meth:`refile`.
+        self._by_free: List[Tuple[int, str, Host]] = []
+        self._filed: Dict[str, int] = {}
 
     # -- host management -----------------------------------------------------
     def add_host(self, host: Host) -> Host:
@@ -67,6 +72,8 @@ class NetZone:
         self.total_cores += host.cores
         self.max_host_cores = max(self.max_host_cores, host.cores)
         host.core_pool.report_to(self._busy)
+        free = self._filed[host.name] = host.available_cores
+        insort(self._by_free, (free, host.name, host))
         return host
 
     def host(self, name: str) -> Host:
@@ -95,6 +102,24 @@ class NetZone:
     def available_cores(self) -> int:
         """Sum of currently free cores across the zone's hosts."""
         return self.total_cores - self._busy.in_use
+
+    def best_fit(self, cores: int) -> Optional[Host]:
+        """The host with the fewest free cores that still has ``cores`` of them
+        (ties by name), or ``None``: one bisection of the free-core order."""
+        by_free = self._by_free
+        at = bisect_left(by_free, (cores,))
+        return by_free[at][2] if at < len(by_free) else None
+
+    def refile(self, host: Host) -> None:
+        """Move ``host`` to its place in the free-core order after its pool changed."""
+        by_free, name = self._by_free, host.name
+        del by_free[bisect_left(by_free, (self._filed[name], name))]
+        free = self._filed[name] = host.available_cores
+        insort(by_free, (free, name, host))
+
+    def free_core_order(self) -> List[Tuple[int, str]]:
+        """The ``(free cores, host name)`` keys of the order :meth:`best_fit` searches."""
+        return [entry[:2] for entry in self._by_free]
 
     @property
     def total_speed(self) -> float:

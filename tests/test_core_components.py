@@ -156,6 +156,58 @@ class TestSiteRuntime:
             site.snapshot()
 
 
+    def test_snapshot_audits_the_free_core_host_order(self, env):
+        """A grant the zone was not told about: the counters still add up (the
+        pools report to the tally), the order ``best_fit`` searches does not."""
+        from repro.utils.errors import CheckpointError
+
+        site, _ = build_site(env, cores=8, hosts=2)
+        host = next(iter(site.zone))
+        request = host.core_pool.request(amount=1)
+        with pytest.raises(CheckpointError, match="site 'SITE'.*free-core host order"):
+            site.snapshot()
+        site.zone.refile(host)
+        assert site.snapshot()["available_cores"] == 7
+        request.cancel()
+        with pytest.raises(CheckpointError, match="site 'SITE'.*free-core host order"):
+            site.snapshot()
+
+    def test_the_admitted_job_starts_after_the_next_one_left_the_queue(self, env):
+        """The RUNNING row reports the site queue as it is once the receiver has
+        taken the next job -- the order the per-job process used to give."""
+        collector = MonitoringCollector()
+        site, _ = build_site(env, cores=4, collector=collector)
+        for _ in range(3):
+            job = Job(work=1e9)
+            job.advance(JobState.ASSIGNED, 0.0, site="SITE")
+            site.submit(job)
+        env.run()
+        running = [e.pending_jobs for e in collector.events if e.state == "running"]
+        assert running == [1, 0, 0]
+
+    def test_a_raising_completion_callback_surfaces_with_the_job_booked_once(self, env):
+        collector = MonitoringCollector()
+        site, _ = build_site(env, cores=4, collector=collector)
+
+        def listener(job):
+            raise RuntimeError("listener blew up")
+
+        site.completion_callbacks.append(listener)
+        for work in (1e9, 2e9):
+            job = Job(work=work)
+            job.advance(JobState.ASSIGNED, 0.0, site="SITE")
+            site.submit(job)
+        with pytest.raises(RuntimeError, match="listener blew up"):
+            env.run()
+        assert (site.finished_jobs, site.failed_jobs, len(site.completed)) == (1, 0, 1)
+        assert [e.state for e in collector.events if e.time == 1.0] == ["finished"]
+        # The first job's cores came back all the same; the second is still running.
+        assert (site.running_jobs, site.available_cores) == (1, 3)
+        site.completion_callbacks.remove(listener)
+        env.run()
+        assert (site.finished_jobs, site.failed_jobs, len(site.completed)) == (2, 0, 2)
+
+
 def build_grid(env, policy, jobs, collector=None, **server_kwargs):
     """Wire a two-site grid with a main server around ``policy``."""
     infrastructure = InfrastructureConfig(
@@ -286,6 +338,26 @@ class TestMainServer:
         env.run(until=server.all_done)
         assert calls == {"init": 1, "finished": 3, "final": 1}
 
+    def test_a_raising_policy_hook_does_not_book_the_finished_job_as_failed_too(self, env):
+        """At the parent the job's own failure handler caught the hook's
+        exception: two jobs came out as 2 finished *and* 2 failed, four
+        completions, a ``failed`` row after each ``finished`` one."""
+
+        class RaisingPolicy(LeastLoadedPolicy):
+            def on_job_finished(self, job):
+                raise RuntimeError("policy hook blew up")
+
+        collector = MonitoringCollector()
+        jobs = [Job(work=1e9), Job(work=1e9)]
+        server, sites = build_grid(env, RaisingPolicy(), jobs, collector=collector)
+        with pytest.raises(RuntimeError, match="policy hook blew up"):
+            env.run(until=server.all_done)
+        site = sites["BIG"]
+        assert (site.finished_jobs, site.failed_jobs) == (1, 0)
+        assert len(site.completed) == len(server.completed) == 1
+        states = [event.state for event in collector.events]
+        assert states.count("finished") == 1 and "failed" not in states
+
     def test_zero_jobs_completes_immediately(self, env):
         server, _sites = build_grid(env, LeastLoadedPolicy(), [])
         assert server.all_done.triggered
@@ -335,6 +407,158 @@ class TestMainServer:
         server, _sites = build_grid(env, FollowTracePolicy(), jobs)
         env.run(until=server.all_done)
         assert built == ["SMALL", "BIG"]  # one per dispatch: the job's own site
+
+
+class GatedPolicy(LeastLoadedPolicy):
+    """Parks a job until its ``gate`` attribute (a simulated time); logs every call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def assign_job(self, job, resources):
+        self.calls.append((resources.time, int(job.job_id)))
+        if resources.time < job.attributes.get("gate", 0.0):
+            return None
+        return super().assign_job(job, resources)
+
+
+def perpetual_sweeper_ticks(interval, lifecycle, horizon):
+    """Wake times of the deleted ``MainServer._pending_sweeper`` under ``lifecycle``.
+
+    The generator and the re-arm test of ``expect()`` are the parent's, run on
+    the real kernel; ``lifecycle`` is ``("done" | "expect", time)`` steps
+    applied from outside the run loop, as a session applies them.
+    """
+    env, ticks, done = Environment(), [], [False]
+
+    def sweeper():
+        while not done[0]:
+            yield env.timeout(interval)
+            ticks.append(env.now)
+
+    process = env.process(sweeper())
+    for kind, time in lifecycle:
+        env.run(until=time)
+        done[0] = kind == "done"
+        if kind == "expect" and process.triggered:
+            process = env.process(sweeper())
+    env.run(until=horizon)
+    return ticks
+
+
+class TestPendingSweep:
+    """The fallback sweep: ticks on the perpetual sweeper's grid, on the calendar
+    only while jobs are pending."""
+
+    def test_a_job_parked_at_37_is_retried_at_exactly_60(self, env):
+        policy = GatedPolicy()
+        job = Job(work=5e9, submission_time=37.0, job_id=1, attributes={"gate": 50.0})
+        server, _sites = build_grid(env, policy, [job], pending_retry_interval=30.0)
+        env.run(until=1.0)
+        # Nothing pending: the next thing on the calendar is the job's arrival, not a tick.
+        assert (env.peek(), server.snapshot()["sweep_armed"]) == (37.0, False)
+        env.run(until=38.0)
+        assert server.pending == [job] and env.peek() == 60.0
+        assert server.snapshot()["next_sweep"] == 60.0 and server.snapshot()["sweep_armed"]
+        env.run(until=server.all_done)
+        assert policy.calls == [(37.0, 1), (60.0, 1)]
+        assert (job.assigned_time, job.end_time) == (60.0, 65.0)
+        assert not server.snapshot()["sweep_armed"]
+        env.run()
+        assert env.now == 65.0  # no tick at 90: a finished run leaves no timer behind
+
+    def test_a_completion_that_empties_the_pending_list_takes_the_tick_off_the_calendar(self, env):
+        class OneAtATime(LeastLoadedPolicy):
+            def assign_job(self, job, resources):
+                idle = not any(site.backlog for site in resources.sites)
+                return super().assign_job(job, resources) if idle else None
+
+        jobs = [Job(work=7e9), Job(work=2e9)]
+        server, _sites = build_grid(env, OneAtATime(), jobs, pending_retry_interval=30.0)
+        env.run(until=1.0)
+        assert server.pending == [jobs[1]] and server.snapshot()["sweep_armed"]
+        env.run(until=8.0)  # the first job finished at 7: its completion placed the second
+        assert server.pending == [] and not server.snapshot()["sweep_armed"]
+        env.run()
+        assert env.now == 9.0 and jobs[1].end_time == 9.0  # the clock never went to 30
+
+    @pytest.mark.parametrize("gate, resubmit_at", [
+        # Job 1 parked until the tick at 0.4, done at 0.719; a perpetual sweeper would
+        # wake to the finished run at 0.7999999999999999 (0.1 summed eight times).
+        (0.35, None), (0.35, 0.75), (0.35, 0.7999999999999999), (0.35, 0.8), (0.35, 0.97),
+        # Job 1 never parked (no tick was ever armed), done at 0.369; exit tick 0.4.
+        (0.0, None), (0.0, 0.39), (0.0, 0.4), (0.0, 0.41),
+    ])
+    def test_ticks_land_where_the_perpetual_sweeper_would_have_woken(self, gate, resubmit_at):
+        """Two waves, the second submitted when the first completes, later but
+        before the tick at which a perpetual sweeper would have woken to the
+        finished run and exited (the grid carries on), exactly on that tick,
+        or after it (the grid restarts at the submission).  0.1 s does not sum
+        exactly, so the ticks are compared as the floats they are."""
+        from repro.config import ExecutionConfig
+        from repro.config.execution import MonitoringConfig
+        from repro.core.simulator import Simulator
+
+        infrastructure = InfrastructureConfig(
+            sites=[SiteConfig(name="ONLY", cores=4, core_speed=1e9, hosts=1)]
+        )
+        execution = ExecutionConfig(
+            pending_retry_interval=0.1, monitoring=MonitoringConfig(snapshot_interval=0.0)
+        )
+        policy = GatedPolicy()
+        session = Simulator(infrastructure, execution=execution, policy=policy).session(
+            [Job(work=0.319e9, submission_time=0.05, job_id=1, attributes={"gate": gate})]
+        )
+        session.advance_to_completion()
+        done = session.now
+        if resubmit_at is not None:
+            session.advance_until(resubmit_at)
+        resubmitted = session.now
+        session.submit([Job(work=0.3e9, job_id=2, attributes={"gate": resubmitted + 0.42})])
+        session.advance_to_completion()
+
+        reference = perpetual_sweeper_ticks(
+            0.1, [("done", done), ("expect", resubmitted)], horizon=session.now
+        )
+        first, second = ([t for t, job_id in policy.calls if job_id == n] for n in (1, 2))
+        assert (first[0], second[0]) == (0.05, resubmitted)  # the dispatches that parked them
+        assert first[1:] == ([0.1, 0.2, 0.30000000000000004, 0.4] if gate else [])
+        assert second[1:] == [t for t in reference if resubmitted < t <= second[-1]]
+        assert len(second) >= 5
+        exit_tick = next(t for t in reference if t > done)
+        if resubmitted != exit_tick:  # on it, both rules give the same next tick
+            assert (second[1] == resubmitted + 0.1) == (resubmitted > exit_tick)
+
+    def test_an_empty_workload_starts_its_grid_at_the_first_submission(self):
+        from repro.config import ExecutionConfig
+        from repro.core.simulator import Simulator
+
+        infrastructure = InfrastructureConfig(
+            sites=[SiteConfig(name="ONLY", cores=4, core_speed=1e9, hosts=1)]
+        )
+        policy = GatedPolicy()
+        session = Simulator(
+            infrastructure, execution=ExecutionConfig(pending_retry_interval=30.0), policy=policy
+        ).session([])
+        session.advance_until(37.0)
+        session.submit([Job(work=1e9, job_id=1, attributes={"gate": 50.0})])
+        session.advance_to_completion()
+        assert policy.calls == [(37.0, 1), (67.0, 1)]
+        assert perpetual_sweeper_ticks(30.0, [("done", 0.0), ("expect", 37.0)], 70.0) == [67.0]
+
+    def test_restore_verifies_the_sweep_state(self, env):
+        from repro.utils.errors import CheckpointError
+
+        job = Job(work=5e9, submission_time=37.0, attributes={"gate": 50.0})
+        server, _sites = build_grid(env, GatedPolicy(), [job], pending_retry_interval=30.0)
+        env.run(until=40.0)
+        state = server.snapshot()
+        server.restore(state)
+        with pytest.raises(CheckpointError, match="next_sweep: expected 90.0, got 60.0"):
+            server.restore({**state, "next_sweep": 90.0})
+        with pytest.raises(CheckpointError, match="sweep_armed: expected False, got True"):
+            server.restore({**state, "sweep_armed": False})
 
 
 class TestDataManager:

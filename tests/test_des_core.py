@@ -132,6 +132,95 @@ class TestStep:
             env.schedule(event, delay=-1)
 
 
+def fired(env, log, tag):
+    """A triggered event, not yet scheduled, whose callback logs ``(tag, now)``."""
+    event = env.event()
+    event._ok, event._value = True, None
+    event.callbacks.append(lambda _event: log.append((tag, env.now)))
+    return event
+
+
+class TestAbsoluteTimeScheduling:
+    def test_fires_at_the_bit_identical_float(self, env):
+        """``now + (at - now)`` is not ``at``: a grid summed as ``tick += 0.1``
+        has to be filed under its own floats."""
+        log, tick, grid = [], 0.0, []
+        env.run(until=0.7)
+        while len(grid) < 40:
+            tick += 0.1
+            if tick > env.now:
+                grid.append(tick)
+        assert any(env.now + (at - env.now) != at for at in grid)
+        for at in grid:
+            env.schedule(fired(env, log, "tick"), at=at)
+        env.run()
+        assert [time for _tag, time in log] == grid
+
+    def test_shares_the_fifo_bucket_of_timeouts_at_that_time(self, env):
+        log = []
+        env.timeout(5.0).callbacks.append(lambda _e: log.append("timeout-before"))
+        env.schedule(fired(env, log, "absolute"), at=5.0)
+        env.timeout(5.0).callbacks.append(lambda _e: log.append("timeout-after"))
+        env.schedule(fired(env, log, "now"), at=env.now)
+        env.run()
+        assert log == [("now", 0.0), "timeout-before", ("absolute", 5.0), "timeout-after"]
+
+    def test_a_past_time_raises_like_a_negative_delay(self, env):
+        env.run(until=10.0)
+        with pytest.raises(SimulationError, match="in the past"):
+            env.schedule(env.event(), at=9.999)
+        with pytest.raises(SimulationError, match="in the past"):
+            env.schedule(env.event(), delay=-0.001)
+
+
+class TestUnschedule:
+    def test_the_clock_does_not_stop_at_a_time_left_empty(self, env):
+        log = []
+        lone, shared = fired(env, log, "lone"), fired(env, log, "shared")
+        env.schedule(lone, at=30.0)
+        env.schedule(shared, at=20.0)
+        env.schedule(fired(env, log, "kept"), at=20.0)
+        env.unschedule(lone, at=30.0)
+        env.unschedule(shared, at=20.0)
+        assert env.queue_length == 1
+        env.run()
+        assert log == [("kept", 20.0)] and env.now == 20.0
+        assert env.peek() == float("inf")
+
+    def test_peek_skips_an_emptied_time_and_the_time_can_be_reused(self, env):
+        log = []
+        first = fired(env, log, "first")
+        env.schedule(first, at=10.0)
+        env.timeout(15.0)
+        env.unschedule(first, at=10.0)
+        assert env.peek() == 15.0
+        env.schedule(fired(env, log, "second"), at=10.0)
+        assert env.peek() == 10.0
+        env.run()
+        assert log == [("second", 10.0)] and env.now == 15.0
+
+    def test_an_event_due_now_leaves_the_ready_list(self, env):
+        log = []
+        later = fired(env, log, "later")
+
+        def withdraw(_event):
+            env.unschedule(later, at=env.now)
+
+        env.timeout(4.0).callbacks.append(withdraw)
+        env.schedule(later, at=4.0)
+        env.schedule(fired(env, log, "last"), at=4.0)
+        env.run()
+        assert log == [("last", 4.0)]
+
+    def test_an_event_not_filed_there_raises(self, env):
+        event = fired(env, [], "x")
+        with pytest.raises(SimulationError, match="not scheduled"):
+            env.unschedule(event, at=3.0)
+        env.schedule(event, at=3.0)
+        with pytest.raises(SimulationError, match="not scheduled"):
+            env.unschedule(env.event(), at=3.0)
+
+
 class TestActiveProcess:
     def test_active_process_visible_inside_process(self, env):
         seen = []

@@ -248,3 +248,74 @@ class TestZoneCountersMatchHostScan:
         request = host.core_pool.request()
         host.core_pool.release(request)
         assert host.available_cores == 2
+
+
+class TestZoneBestFitMatchesHostScan:
+    """``NetZone.best_fit`` -- one bisection -- against the scan it replaced."""
+
+    @staticmethod
+    def scan(zone, cores):
+        """Best fit as the site receiver used to find it: every host, every time."""
+        best, best_key = None, None
+        for host in zone:
+            free = host.available_cores
+            if free >= cores and (best is None or (free, host.name) < best_key):
+                best, best_key = host, (free, host.name)
+        return best
+
+    def check(self, zone):
+        for cores in range(1, 18):
+            assert zone.best_fit(cores) is self.scan(zone, cores)
+        assert zone.free_core_order() == sorted((h.available_cores, h.name) for h in zone)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_grant_release_sequences(self, seed):
+        env = Environment()
+        rng = RandomSource(seed).generator("zone-best-fit-fuzz")
+        zone = NetZone("SITE")
+        assert zone.best_fit(1) is None
+        for index in range(10):
+            zone.add_host(Host(env, f"wn{index:02d}", speed=1e9, cores=int(rng.integers(1, 9))))
+        held = []
+        for step in range(400):
+            if held and rng.random() < 0.48:
+                host, request = held.pop(int(rng.integers(0, len(held))))
+                request.cancel()
+                zone.refile(host)
+            else:
+                cores = int(rng.integers(1, 9))
+                host = zone.best_fit(cores)
+                assert host is self.scan(zone, cores)
+                if host is not None:
+                    held.append((host, host.core_pool.request(amount=cores)))
+                    zone.refile(host)
+            if step % 50 == 0:
+                # A late host, some of its cores already granted before it joins.
+                late = Host(env, f"late{step:03d}", speed=1e9, cores=int(rng.integers(1, 17)))
+                held.append((late, late.core_pool.request(amount=1)))
+                zone.add_host(late)
+            self.check(zone)
+        for host, request in held:
+            request.cancel()
+            zone.refile(host)
+        self.check(zone)
+        assert zone.best_fit(1).available_cores == min(h.cores for h in zone)
+
+    def test_ties_go_to_the_first_name(self, env):
+        zone = NetZone("SITE")
+        for name in ("wn2", "wn0", "wn1"):
+            zone.add_host(Host(env, name, speed=1e9, cores=4))
+        assert zone.best_fit(4).name == "wn0"
+        assert zone.best_fit(5) is None
+
+    def test_a_pool_changed_without_refile_leaves_the_order_stale_until_refiled(self, env):
+        zone = NetZone("SITE")
+        small = zone.add_host(Host(env, "a", speed=1e9, cores=2))
+        zone.add_host(Host(env, "b", speed=1e9, cores=4))
+        request = small.core_pool.request(amount=2)  # nobody told the zone
+        assert zone.best_fit(1) is small and small.available_cores == 0
+        zone.refile(small)
+        assert zone.best_fit(1).name == "b"
+        request.cancel()
+        zone.refile(small)
+        self.check(zone)

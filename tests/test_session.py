@@ -74,6 +74,26 @@ class TestSteppedEquivalence:
         assert session.done
         assert _fingerprint(session.finalize()) == _fingerprint(single)
 
+    @pytest.mark.parametrize("count", [1, 400])
+    def test_a_job_costs_the_calendar_at_most_six_events(
+        self, small_infrastructure, workload_generator, count
+    ):
+        """Inbox put and get, site-queue get, core grant, the duration's
+        timeout, and a capacity wake-up when the receiver was waiting for
+        cores -- no process start or end, no event nobody waits on, no idle
+        sweep tick (13 events a job here with a process per job and a
+        perpetual sweeper).  The 8 are the five actors starting, ``all_done``
+        and the two ends of the feeder."""
+        execution = _quiet(monitoring=MonitoringConfig(snapshot_interval=0.0, enable_events=False))
+        session = Simulator(small_infrastructure, execution=execution).session(
+            workload_generator.generate(count)
+        )
+        steps = 0
+        while session.step():
+            steps += 1
+        assert session.done and steps <= 6 * count + 8
+        assert session.now == max(job.end_time for job in session.jobs)  # no timer left behind
+
     def test_run_is_a_session_wrapper(self, small_infrastructure, small_jobs):
         result = Simulator(small_infrastructure, execution=_quiet()).run(small_jobs)
         assert result.stopped_reason is None
@@ -92,6 +112,15 @@ class TestSteppedEquivalence:
         session.advance_until(100.0)
         with pytest.raises(SimulationError):
             session.advance_until(50.0)
+
+    def test_a_finished_run_leaves_no_timer_behind(self, small_infrastructure, small_jobs):
+        """Draining the calendar after completion used to jump to the sweeper's next tick."""
+        session = Simulator(small_infrastructure, execution=_quiet()).session(small_jobs)
+        session.advance_to_completion()
+        completed_at = session.now
+        assert completed_at % 60.0 != 0.0
+        session.env.run()
+        assert session.now == completed_at
 
     def test_clock_parks_exactly_at_deadline(self, small_infrastructure, small_jobs):
         session = Simulator(small_infrastructure, execution=_quiet()).session(small_jobs)

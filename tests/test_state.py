@@ -16,6 +16,7 @@ import pytest
 from repro.config.execution import ExecutionConfig, MonitoringConfig, StopConfig
 from repro.core import SimulationSession, Simulator
 from repro.faults.models import JobFailureModel
+from repro.plugins.bundled import LeastLoadedPolicy
 from repro.state import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -43,6 +44,13 @@ def _quiet(**kwargs) -> ExecutionConfig:
     kwargs.setdefault("plugin", "least_loaded")
     kwargs.setdefault("monitoring", MonitoringConfig(snapshot_interval=0.0))
     return ExecutionConfig(**kwargs)
+
+
+class _ParkUntil1000(LeastLoadedPolicy):
+    """Parks every job until t=1000, so only a sweep tick (60 s grid) can place it."""
+
+    def assign_job(self, job, resources):
+        return None if resources.time < 1000.0 else super().assign_job(job, resources)
 
 
 def _finish(session: SimulationSession):
@@ -241,6 +249,47 @@ class TestCheckpointRestore:
             return fingerprint_result(_finish(session))
 
         assert run(checkpointed=True) == run(checkpointed=False)
+
+    def test_checkpoint_with_the_sweep_armed_restores_bit_identical(
+        self, small_infrastructure, workload_generator
+    ):
+        jobs = workload_generator.generate(12)
+
+        def simulator() -> Simulator:
+            return Simulator(small_infrastructure, execution=_quiet(), policy=_ParkUntil1000())
+
+        expected = self._reference(simulator(), jobs)
+        reset_job_id_counter(COUNTER_BASE)
+        session = simulator().session([j.copy_for_replay() for j in jobs])
+        session.advance_until(500.0)
+        server = session.snapshot()["server"]
+        assert (server["sweep_armed"], server["next_sweep"], len(server["pending"])) == (
+            True, 540.0, 12
+        )
+        restored = SimulationSession.restore(None, session.checkpoint())
+        assert restored.snapshot()["server"] == server
+        assert fingerprint_result(_finish(restored)) == expected
+        assert {job.assigned_time for job in restored.jobs} == {1020.0}
+        assert not restored.simulator.server.snapshot()["sweep_armed"]
+
+    def test_step_ops_counted_by_another_build_fail_verification(
+        self, small_infrastructure, workload_generator
+    ):
+        """A ``step`` op counts kernel events, and what a job costs the calendar
+        is the build's business: such a blob restores on the build that wrote
+        it, and raises -- never silently diverges -- on one that counts otherwise."""
+        session = Simulator(small_infrastructure, execution=_quiet()).session(
+            workload_generator.generate(20)
+        )
+        for _ in range(60):
+            session.step()
+        blob = session.checkpoint()
+        assert SimulationSession.restore(None, blob).now == session.now
+        payload = decode_checkpoint(blob)
+        assert payload["ops"] == [["step", 60]]
+        payload["ops"] = [["step", 100]]  # the writer's jobs cost ten events each, say
+        with pytest.raises(CheckpointError, match="bit-identity verification"):
+            SimulationSession.restore(None, encode_checkpoint(payload))
 
     def test_restored_session_is_recheckpointable(
         self, small_infrastructure, workload_generator
