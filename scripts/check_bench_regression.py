@@ -9,13 +9,15 @@ when the current machine matches the baseline's recorded CPU count;
 otherwise it is skipped with a note (the usual case on CI runners, whose
 core counts differ from the dev box that recorded the baseline).
 
-The *stack* is protected by two ratios that do not depend on the machine,
+The *stack* is protected by three ratios that do not depend on the machine,
 each measured here at fixed sizes against ``timeout_churn`` microseconds per
 event from the same run, and each held under a ceiling committed in the
-baseline file: ``grid_end_to_end`` microseconds per job (the simulation),
-and microseconds per row of a synthetic monitored run written to CSV and
-SQLite through the output sinks (the output layer).  They run on every
-machine.
+baseline file: ``grid_end_to_end`` microseconds per job (the simulation;
+``follow_trace``, monitoring off, so the policy reads one site), microseconds
+per job of a monitored 40-site run whose policy reads every site at every
+dispatch (what a dispatch costs), and microseconds per row of a synthetic
+monitored run written to CSV and SQLite through the output sinks (the output
+layer).  They run on every machine.
 
 Usage::
 
@@ -50,19 +52,56 @@ MAX_DROP = 0.20
 #: the committed ceiling means the same thing on every run).
 E2E_JOBS = 2000
 CHURN_ARGS = (1000, 50)
+#: Fixed shape of the dispatch gate's run, the ``policy_stream`` workload of
+#: ``benchmarks/stack``: ``(WLCG sites, Poisson panda jobs)``.
+DISPATCH_SHAPE = (40, 1000)
 #: Fixed shape of the output gate's synthetic run: ``(events, snapshot ticks,
 #: sites, jobs)`` -- snapshot-heavy, like a monitored 40-site run.
 OUTPUT_SHAPE = (4000, 200, 40, 1000)
 #: Headroom ``--write-baseline`` puts between a measured ratio and its ceiling.
 RATIO_HEADROOM = 0.35
-#: The two ratio gates: measurement key -> (ceiling key, what got slower).
+#: The ratio gates: measurement key -> (ceiling key, what got slower).
 RATIO_GATES = {
     "e2e_ratio": ("e2e_ratio_ceiling", "the stack got slower relative to the kernel"),
+    "dispatch_ratio": (
+        "dispatch_ratio_ceiling",
+        "a dispatch over every site got slower relative to the kernel",
+    ),
     "output_ratio": (
         "output_ratio_ceiling",
         "the output layer got slower relative to the kernel",
     ),
 }
+
+
+def dispatch_run():
+    """The inputs of the dispatch gate's run, and the call that runs them once.
+
+    The ``policy_stream`` shape: ``panda_dispatcher`` scores all 40 sites for
+    every job, event rows and 300 s snapshots are recorded, nothing is written.
+    """
+    from repro.atlas import PandaWorkloadModel, wlcg_grid
+    from repro.config.execution import ExecutionConfig, MonitoringConfig
+    from repro.core.simulator import Simulator
+    from repro.workload.generator import WorkloadSpec
+
+    sites, job_count = DISPATCH_SHAPE
+    infrastructure, topology = wlcg_grid(site_count=sites)
+    spec = WorkloadSpec(arrival_rate=0.02, walltime_median=900.0, walltime_sigma=0.3)
+    jobs = PandaWorkloadModel(infrastructure, spec=spec, seed=2).generate_trace(job_count)
+    execution = ExecutionConfig(
+        plugin="panda_dispatcher",
+        monitoring=MonitoringConfig(enable_events=True, snapshot_interval=300.0),
+    )
+
+    def run() -> None:
+        result = Simulator(infrastructure, topology, execution).run(
+            [job.copy_for_replay() for job in jobs]
+        )
+        if result.metrics.finished_jobs != job_count:
+            raise RuntimeError(f"dispatch run finished {result.metrics.finished_jobs} jobs")
+
+    return run
 
 
 def synthetic_run():
@@ -114,7 +153,8 @@ def write_outputs(collector, jobs, directory: Path) -> int:
 
 
 def measure_ratios(repeat: int) -> dict:
-    """Stack us/job and output us/row over kernel us/event, best of ``repeat`` interleaved runs."""
+    """Stack and dispatch us/job and output us/row over kernel us/event, best of
+    ``repeat`` interleaved runs."""
     from repro.experiments.bench import grid_end_to_end, timeout_churn
 
     def seconds(fn, *args) -> float:
@@ -123,16 +163,19 @@ def measure_ratios(repeat: int) -> dict:
         return time.perf_counter() - started
 
     collector, jobs = synthetic_run()
+    dispatch = dispatch_run()
     rows = 0
-    job_s = row_s = event_s = float("inf")
+    job_s = dispatch_s = row_s = event_s = float("inf")
     for _ in range(max(1, repeat)):
         job_s = min(job_s, seconds(grid_end_to_end, E2E_JOBS))
+        dispatch_s = min(dispatch_s, seconds(dispatch))
         with tempfile.TemporaryDirectory() as directory:
             started = time.perf_counter()
             rows = write_outputs(collector, jobs, Path(directory))
             row_s = min(row_s, time.perf_counter() - started)
         event_s = min(event_s, seconds(timeout_churn, *CHURN_ARGS))
     us_per_job = job_s / E2E_JOBS * 1e6
+    us_per_dispatch = dispatch_s / DISPATCH_SHAPE[1] * 1e6
     us_per_row = row_s / rows * 1e6
     us_per_event = event_s / (CHURN_ARGS[0] * CHURN_ARGS[1]) * 1e6
     return {
@@ -141,6 +184,12 @@ def measure_ratios(repeat: int) -> dict:
             "us_per_job": round(us_per_job, 2),
             "us_per_event": round(us_per_event, 4),
             "ratio": round(us_per_job / us_per_event, 1),
+        },
+        "dispatch_ratio": {
+            "jobs": DISPATCH_SHAPE[1],
+            "us_per_job": round(us_per_dispatch, 2),
+            "us_per_event": round(us_per_event, 4),
+            "ratio": round(us_per_dispatch / us_per_event, 1),
         },
         "output_ratio": {
             "rows": rows,
@@ -256,6 +305,11 @@ def main() -> int:
     print(
         f"  grid_end_to_end: {e2e['us_per_job']:.1f} us/job over timeout_churn "
         f"{e2e['us_per_event']:.3f} us/event = ratio {e2e['ratio']:.1f}"
+    )
+    dispatch = current["dispatch_ratio"]
+    print(
+        f"  dispatch over {DISPATCH_SHAPE[0]} sites: {dispatch['us_per_job']:.1f} us/job over "
+        f"timeout_churn {dispatch['us_per_event']:.3f} us/event = ratio {dispatch['ratio']:.1f}"
     )
     print(
         f"  output_rows: {output['us_per_row']:.2f} us/row ({output['rows']} rows to CSV + SQLite) "

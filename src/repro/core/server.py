@@ -16,13 +16,12 @@ an idle server costs the kernel nothing and a finished run leaves no timer.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.des import Environment, Event, Store
 from repro.plugins.base import AllocationPolicy, ResourceView, SiteStatus
-from repro.utils.errors import SchedulingError
+from repro.utils.errors import CheckpointError, SchedulingError
 from repro.utils.logging import NullLogger, SimLogger
 from repro.workload.job import Job, JobState, allocate_job_id
 
@@ -34,33 +33,48 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["MainServer"]
 
 
-class _LiveStatuses(Mapping):
-    """The mapping behind one :class:`ResourceView`: every site of the server,
-    each :class:`SiteStatus` built when first read and handed back thereafter."""
+class _LiveSiteStatus(SiteStatus):
+    """The one status of a site for the whole run, handed to every dispatch.
 
-    __slots__ = ("_server", "_built")
+    What is constant for the run (name, speed, properties, total cores, widest
+    host) is stored once; every dynamic field is a read of the site's O(1)
+    counters as they are now, so nothing is copied and nothing goes stale.
+    Writing any field raises.
+    """
 
-    def __init__(self, server: "MainServer") -> None:
-        self._server = server
-        self._built: Dict[str, SiteStatus] = {}
+    def __init__(self, name: str, site: "SiteRuntime", data: Optional["DataManager"]) -> None:
+        self.__dict__.update(
+            name=name,
+            total_cores=site.total_cores,
+            max_host_cores=site.max_host_cores(),
+            core_speed=site.config.core_speed,
+            properties=MappingProxyType(site.config.properties),
+            _site=site,
+            _data=data,
+        )
 
-    def __getitem__(self, name: str) -> SiteStatus:
-        status = self._built.get(name)
-        if status is None:
-            status = self._built[name] = self._server._site_status(name)
-        return status
+    def __setattr__(self, field: str, value: object) -> None:
+        raise AttributeError(f"the status of site {self.name!r} is read-only: cannot set {field!r}")
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._server.sites)
+    available_cores = property(lambda self: self._site.available_cores)
+    pending_jobs = property(lambda self: self._site.queued_jobs)
+    running_jobs = property(lambda self: self._site.running_jobs)
+    assigned_jobs = property(lambda self: self._site.backlog)
+    finished_jobs = property(lambda self: self._site.finished_jobs)
+    failed_jobs = property(lambda self: self._site.failed_jobs)
 
-    def __len__(self) -> int:
-        return len(self._server.sites)
+    @property
+    def resident_data(self) -> frozenset:
+        return self._data.resident_data(self.name) if self._data is not None else frozenset()
 
-    def __contains__(self, name: object) -> bool:
-        return name in self._server.sites
-
-    def values(self) -> List[SiteStatus]:
-        return [self[name] for name in self._server.sites]
+    @property
+    def backlog(self) -> int:
+        """``pending_jobs + assigned_jobs + running_jobs`` straight from the site's counters."""
+        site = self._site
+        return (
+            len(site.queue) + site.assigned_jobs - site.finished_jobs - site.failed_jobs
+            + site.running_jobs
+        )
 
 
 class MainServer:
@@ -160,9 +174,9 @@ class MainServer:
         if self.total_jobs == 0:
             self.all_done.succeed()
 
-        #: Each site's configured properties, read-only, shared by its status records.
-        self._properties = {
-            name: MappingProxyType(site.config.properties) for name, site in self.sites.items()
+        #: The live status of every site: built here, the same for every dispatch.
+        self._statuses: Dict[str, SiteStatus] = {
+            name: _LiveSiteStatus(name, site, data_manager) for name, site in self.sites.items()
         }
 
         self.policy.initialize(platform_description or {})
@@ -178,30 +192,9 @@ class MainServer:
 
     # -- resource view ------------------------------------------------------------
     def resource_view(self) -> ResourceView:
-        """Open the view handed to the policy for one dispatch.
-
-        Nothing is read here: a site's status is built when the policy first
-        asks for it.  Views are never reused across dispatches -- a site's
-        queue can change between two dispatches at the same timestamp.
-        """
-        return ResourceView(_LiveStatuses(self), time=self.env.now)
-
-    def _site_status(self, name: str) -> SiteStatus:
-        """The current status record of site ``name`` (KeyError if unknown)."""
-        site, data = self.sites[name], self.data_manager
-        return SiteStatus(
-            name=name,
-            total_cores=site.total_cores,
-            available_cores=site.available_cores,
-            core_speed=site.config.core_speed,
-            pending_jobs=site.queued_jobs,
-            running_jobs=site.running_jobs,
-            assigned_jobs=site.backlog,
-            finished_jobs=site.finished_jobs,
-            failed_jobs=site.failed_jobs,
-            resident_data=data.resident_data(name) if data is not None else frozenset(),
-            properties=self._properties[name],
-        )
+        """The view handed to the policy for one dispatch: the run's live statuses
+        and the current time.  Nothing is read or built here."""
+        return ResourceView(self._statuses, time=self.env.now)
 
     # -- lifecycle -----------------------------------------------------------------
     def expect(self, count: int) -> None:
@@ -261,9 +254,12 @@ class MainServer:
                 f"{site_name!r}"
             )
         if job.cores > site.max_host_cores():
-            # The policy picked a site that can never run the job; treat it as
-            # unplaceable rather than failing the whole simulation.
-            return False
+            # Parking the job would offer it the same site again at every
+            # completion and sweep: a run that never ends.
+            raise SchedulingError(
+                f"policy {self.policy.name!r} assigned the {job.cores}-core job {job.job_id} to "
+                f"site {site_name!r}, whose widest host has {site.max_host_cores()} cores"
+            )
         job.advance(JobState.ASSIGNED, self.env.now, site=site_name)
         self.assignments[int(job.job_id)] = site_name
         self._record(job, JobState.ASSIGNED, site_name)
@@ -375,8 +371,19 @@ class MainServer:
         callbacks rebuild it when the session re-executes its op log), so the
         snapshot serves as the verification record a restore is checked
         against -- job ids in the pending list keep arrival order, and the
-        sweep grid its float, which replay must reproduce exactly.
+        sweep grid its float, which replay must reproduce exactly.  The
+        run-constant values each live status stores are audited against the
+        site on the way (:class:`CheckpointError` on mismatch).
         """
+        for name, status in self._statuses.items():
+            site = self.sites[name]
+            kept = (status.total_cores, status.max_host_cores, status.core_speed)
+            current = (site.total_cores, site.max_host_cores(), site.config.core_speed)
+            if kept != current:
+                raise CheckpointError(
+                    f"site {name!r}: its live status holds (total cores, widest host, core "
+                    f"speed) {kept} but the site now has {current}"
+                )
         return {
             "next_sweep": self._next_sweep,
             "sweep_armed": self._sweep_tick is not None,
@@ -398,7 +405,6 @@ class MainServer:
         bit-identically.
         """
         from repro.state.protocol import diff_states
-        from repro.utils.errors import CheckpointError
 
         diffs = diff_states(state, self.snapshot())
         if diffs:

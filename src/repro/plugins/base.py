@@ -6,9 +6,9 @@ every incoming job, using the standardized job structure and the resource
 information the simulator exposes.
 
 A policy never touches simulator internals: it sees a
-:class:`ResourceView` -- a read-only window onto per-site capacity and queue
-state that the main server opens for every dispatch -- and returns a site
-name (or ``None`` to leave the job pending).
+:class:`ResourceView` -- a read-only window onto the live per-site capacity
+and queue state, handed to every dispatch -- and returns a site name (or
+``None`` to leave the job pending).
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ __all__ = ["SiteStatus", "ResourceView", "AllocationPolicy"]
 class SiteStatus:
     """Dynamic, per-site information exposed to allocation policies.
 
-    One record describes one site at the moment the policy first read it
-    through its :class:`ResourceView`.  Treat every field as read-only:
-    ``resident_data`` and ``properties`` are shared with the simulator (and
-    with the next dispatch's records), not copied per dispatch.
+    Built by hand (tests, offline analysis) it is a plain record.  The ones
+    the main server hands out are *live*: one per site for the whole run,
+    whose dynamic fields read the site as it is now and refuse writes.  Keep
+    the values you read inside ``assign_job``, not the status.
+    ``resident_data`` and ``properties`` are shared with the simulator.
     """
 
     name: str
@@ -46,6 +47,13 @@ class SiteStatus:
     resident_data: frozenset = field(default_factory=frozenset)
     #: Free-form site properties (tier, cloud, country); read-only.
     properties: Mapping[str, str] = field(default_factory=dict)
+    #: Cores of the site's widest host: the widest job it can ever admit.
+    #: ``None`` (hand-built records) means one host holding ``total_cores``.
+    max_host_cores: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.max_host_cores is None:
+            self.max_host_cores = self.total_cores
 
     @property
     def load_fraction(self) -> float:
@@ -78,14 +86,12 @@ class ResourceView:
     """The grid as a policy's ``assign_job`` sees it, for one dispatch.
 
     This is the reproduction of CGSim's ``getResourceInformation`` hook: the
-    simulator opens a fresh view for every dispatch and the policy reads it
-    (it must not mutate it).  ``sites`` is any site-name -> :class:`SiteStatus`
-    mapping, used as given: tests pass a plain dict, the main server passes a
-    read-through mapping that builds a site's status the first time the
-    policy reads it.  A view is therefore valid for the duration of the
-    ``assign_job`` call it was handed to -- a policy that only looks at one
-    site pays for one site, and a view kept for later keeps reading the live
-    grid for every site it had not looked at yet.
+    policy reads it and must not mutate it.  ``sites`` is any site-name ->
+    :class:`SiteStatus` mapping, used as given: tests pass a dict of plain
+    records, the main server passes the same dict of live statuses to every
+    dispatch.  A dispatch is synchronous, so nothing changes under the
+    policy; a view or status kept after ``assign_job`` returns keeps reading
+    the grid as it is then, so keep values, not statuses.
     """
 
     def __init__(self, sites: Mapping[str, SiteStatus], time: float = 0.0) -> None:
@@ -122,8 +128,9 @@ class ResourceView:
         return [s for s in self._sites.values() if s.available_cores >= cores]
 
     def sites_that_fit(self, cores: int) -> List[SiteStatus]:
-        """Sites whose *total* capacity can ever run a ``cores``-core job."""
-        return [s for s in self._sites.values() if s.total_cores >= cores]
+        """Sites that can ever run a ``cores``-core job: admission needs one
+        *host* that wide, so this reads ``max_host_cores``, not the total."""
+        return [s for s in self._sites.values() if s.max_host_cores >= cores]
 
     def least_loaded(self, cores: int = 1) -> Optional[SiteStatus]:
         """The eligible site with the least outstanding work per core.
@@ -134,12 +141,15 @@ class ResourceView:
         a few idle cores stuck behind a wide job, starving the rest of the
         grid.
         """
-        candidates = self.sites_that_fit(cores)
-        if not candidates:
-            return None
-        return min(
-            candidates, key=lambda s: (s.normalized_backlog, s.load_fraction, s.name)
-        )
+        best, least = None, 0.0
+        for s in self.sites_that_fit(cores):
+            backlog = s.normalized_backlog
+            if best is None or backlog < least or (
+                backlog == least
+                and (s.load_fraction, s.name) < (best.load_fraction, best.name)
+            ):
+                best, least = s, backlog
+        return best
 
     def total_available_cores(self) -> int:
         """Free cores across the whole grid."""

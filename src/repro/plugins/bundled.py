@@ -7,7 +7,7 @@ ablation benchmarks have something meaningful to compare:
 * :class:`RoundRobinPolicy` -- cycle through eligible sites (the out-of-the-
   box example of the paper).
 * :class:`RandomPolicy` -- uniform random eligible site.
-* :class:`LeastLoadedPolicy` -- lowest current load fraction.
+* :class:`LeastLoadedPolicy` -- least outstanding work per core.
 * :class:`WeightedCapacityPolicy` -- probability proportional to total cores
   (optionally scaled by core speed).
 * :class:`DataAwarePolicy` -- prefer sites already holding the job's input
@@ -102,7 +102,9 @@ class RandomPolicy(AllocationPolicy):
 
 @register_policy("least_loaded")
 class LeastLoadedPolicy(AllocationPolicy):
-    """Assign each job to the eligible site with the lowest load fraction."""
+    """Assign each job to the eligible site with the smallest normalised backlog
+    (outstanding jobs per core); load fraction, then name, break ties
+    (:meth:`ResourceView.least_loaded`)."""
 
     def assign_job(self, job: Job, resources: ResourceView) -> Optional[str]:
         best = resources.least_loaded(job.cores)
@@ -166,13 +168,17 @@ class DataAwarePolicy(AllocationPolicy):
     def assign_job(self, job: Job, resources: ResourceView) -> Optional[str]:
         dataset = job.attributes.get("dataset")
         if dataset is not None:
-            holders = [
-                s
-                for s in resources.sites_that_fit(job.cores)
-                if dataset in s.resident_data
-            ]
-            if holders:
-                return min(holders, key=lambda s: (s.load_fraction, s.backlog, s.name)).name
+            # The holder with the smallest (load fraction, backlog, name).
+            holder, least = None, 0.0
+            for s in resources.sites_that_fit(job.cores):
+                if dataset in s.resident_data:
+                    load = s.load_fraction
+                    if holder is None or load < least or (
+                        load == least and (s.backlog, s.name) < (holder.backlog, holder.name)
+                    ):
+                        holder, least = s, load
+            if holder is not None:
+                return holder.name
         best = resources.least_loaded(job.cores)
         return best.name if best is not None else None
 
@@ -206,20 +212,17 @@ class PandaDispatcherPolicy(AllocationPolicy):
     def assign_job(self, job: Job, resources: ResourceView) -> Optional[str]:
         if self.respect_target and job.target_site and job.target_site in resources:
             target = resources.site(job.target_site)
-            if target.total_cores >= job.cores:
+            if target.max_host_cores >= job.cores:
                 return target.name
-        eligible = resources.sites_that_fit(job.cores)
-        if not eligible:
-            return None
         reference_speed = self._mean_speed or 1.0
-
-        def expected_wait(site) -> float:
-            backlog_cores = site.backlog * max(1, job.cores)
-            relative_speed = site.core_speed / reference_speed if reference_speed else 1.0
-            capacity = max(site.total_cores, 1) * max(relative_speed, 1e-9)
-            return backlog_cores / capacity
-
-        return min(eligible, key=lambda s: (expected_wait(s), s.name)).name
+        width = max(1, job.cores)
+        best, least = None, 0.0
+        for site in resources.sites_that_fit(job.cores):
+            capacity = max(site.total_cores, 1) * max(site.core_speed / reference_speed, 1e-9)
+            wait = site.backlog * width / capacity
+            if best is None or wait < least or (wait == least and site.name < best):
+                best, least = site.name, wait
+        return best
 
 
 @register_policy("backfill")
@@ -234,11 +237,17 @@ class BackfillPolicy(AllocationPolicy):
 
     def assign_job(self, job: Job, resources: ResourceView) -> Optional[str]:
         if job.cores == 1:
-            with_capacity = resources.sites_with_capacity(1)
-            if with_capacity:
-                return min(
-                    with_capacity, key=lambda s: (s.backlog, -s.available_cores, s.name)
-                ).name
+            # The site with free cores and the smallest (backlog, -free cores, name).
+            gap, least = None, 0
+            for s in resources.sites_with_capacity(1):
+                backlog = s.backlog
+                if gap is None or backlog < least or (
+                    backlog == least
+                    and (-s.available_cores, s.name) < (-gap.available_cores, gap.name)
+                ):
+                    gap, least = s, backlog
+            if gap is not None:
+                return gap.name
         best = resources.least_loaded(job.cores)
         return best.name if best is not None else None
 
@@ -255,7 +264,7 @@ class FollowTracePolicy(AllocationPolicy):
     def assign_job(self, job: Job, resources: ResourceView) -> Optional[str]:
         if job.target_site and job.target_site in resources:
             site = resources.site(job.target_site)
-            if site.total_cores >= job.cores:
+            if site.max_host_cores >= job.cores:
                 return site.name
         best = resources.least_loaded(job.cores)
         return best.name if best is not None else None

@@ -320,6 +320,27 @@ class TestMainServer:
         with pytest.raises(SchedulingError, match="unknown site 'NOWHERE'"):
             env.run(until=server.all_done)
 
+    @pytest.mark.parametrize("park_first", [False, True], ids=["dispatch", "pending-retry"])
+    def test_policy_naming_a_site_too_narrow_for_the_job_raises(self, env, park_first):
+        """SMALL's widest host has 2 cores.  Refusing quietly parked the 4-core job,
+        and every completion and sweep offered it SMALL again: a run that never ended."""
+        from repro.plugins.base import AllocationPolicy
+
+        class NarrowPolicy(AllocationPolicy):
+            calls = 0
+
+            def assign_job(self, job, resources):
+                self.calls += 1
+                return None if park_first and self.calls == 1 else "SMALL"
+
+        server, _sites = build_grid(
+            env, NarrowPolicy(), [Job(work=1e9, cores=4)], pending_retry_interval=5.0
+        )
+        message = (r"policy 'custom' assigned the 4-core job \d+ to site 'SMALL', "
+                   r"whose widest host has 2 cores")
+        with pytest.raises(SchedulingError, match=message):
+            env.run(until=server.all_done)
+
     def test_policy_lifecycle_hooks_called(self, env):
         calls = {"init": 0, "finished": 0, "final": 0}
 
@@ -369,19 +390,35 @@ class TestMainServer:
         assert set(view.site_names) == {"BIG", "SMALL"}
         assert view.site("BIG").total_cores == 16
 
-    def test_view_builds_a_status_on_first_read_and_keeps_it(self, env):
+    def test_every_dispatch_gets_the_same_live_status(self, env):
         server, sites = build_grid(env, LeastLoadedPolicy(), [])
         view = server.resource_view()
-        sites["BIG"].submit(Job(work=1e9))  # after the view was opened, before its first read
         big = view.site("BIG")
-        assert big.assigned_jobs == 1
-        sites["BIG"].submit(Job(work=1e9))
-        assert view.site("BIG") is big and big.assigned_jobs == 1
+        assert (big.assigned_jobs, big.pending_jobs, big.backlog) == (0, 0, 0)
+        job = Job(work=1e9)
+        job.advance(JobState.ASSIGNED, 0.0, site="BIG")
+        sites["BIG"].submit(job)  # after the read: the status is the site as it is now
+        assert (big.assigned_jobs, big.pending_jobs, big.backlog) == (1, 1, 2)
+        assert server.resource_view().site("BIG") is big
         assert [s.name for s in view.sites] == ["BIG", "SMALL"] and view.sites[0] is big
-        assert server.resource_view().site("BIG").assigned_jobs == 2
         assert "SMALL" in view and "NOWHERE" not in view and len(view) == 2
         with pytest.raises(SchedulingError):
             view.site("NOWHERE")
+        env.run()
+        assert (big.finished_jobs, big.available_cores, big.backlog) == (1, 16, 0)
+
+    def test_a_live_status_refuses_writes(self, env):
+        from dataclasses import fields
+
+        from repro.plugins.base import SiteStatus
+
+        server, _sites = build_grid(env, LeastLoadedPolicy(), [])
+        status = server.resource_view().site("BIG")
+        assert isinstance(status, SiteStatus)
+        for name in [f.name for f in fields(SiteStatus)] + ["backlog", "anything_else"]:
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(status, name, 0)
+        assert (status.total_cores, status.max_host_cores, status.available_cores) == (16, 16, 16)
 
     def test_status_properties_are_shared_read_only(self, env):
         server, sites = build_grid(env, LeastLoadedPolicy(), [])
@@ -391,22 +428,43 @@ class TestMainServer:
         with pytest.raises(TypeError):
             status.properties["tier"] = "2"
 
-    def test_follow_trace_dispatch_builds_one_site_status(self, env, monkeypatch):
-        import repro.core.server as server_module
+    def test_a_monitored_run_constructs_no_site_status(self, env, monkeypatch):
+        """The 40-records-per-dispatch cost as a count: one status per site when
+        the server is built, none for any dispatch, retry or monitoring row."""
         from repro.plugins.base import SiteStatus
-        from repro.plugins.bundled import FollowTracePolicy
+        from repro.plugins.bundled import PandaDispatcherPolicy
 
         built = []
 
-        def counting_status(**fields):
-            built.append(fields["name"])
-            return SiteStatus(**fields)
+        def counted(cls):
+            init = cls.__init__
 
-        monkeypatch.setattr(server_module, "SiteStatus", counting_status)
-        jobs = [Job(work=1e9, target_site="SMALL"), Job(work=1e9, target_site="BIG")]
-        server, _sites = build_grid(env, FollowTracePolicy(), jobs)
+            def counting_init(self, *args, **kwargs):
+                built.append(cls.__name__)
+                init(self, *args, **kwargs)
+
+            return counting_init
+
+        for cls in (SiteStatus, *SiteStatus.__subclasses__()):
+            monkeypatch.setattr(cls, "__init__", counted(cls))
+        jobs = [Job(work=1e9, cores=1 + i % 2, submission_time=0.1 * i) for i in range(40)]
+        server, sites = build_grid(
+            env, PandaDispatcherPolicy(), jobs, collector=MonitoringCollector()
+        )
+        assert len(built) == len(sites) == 2 and "SiteStatus" not in built
         env.run(until=server.all_done)
-        assert built == ["SMALL", "BIG"]  # one per dispatch: the job's own site
+        assert len(server.completed) == 40 and len(built) == 2
+
+    def test_snapshot_audits_the_run_constants_a_live_status_stores(self, env):
+        from repro.platform.host import Host
+        from repro.utils.errors import CheckpointError
+
+        server, sites = build_grid(env, LeastLoadedPolicy(), [])
+        server.snapshot()
+        sites["SMALL"].zone.add_host(Host(env, "late-host", speed=1e9, cores=4))
+        message = r"site 'SMALL'.*\(2, 2, 1000000000\.0\) but the site now has \(6, 4, 1000000000\.0\)"
+        with pytest.raises(CheckpointError, match=message):
+            server.snapshot()
 
 
 class GatedPolicy(LeastLoadedPolicy):

@@ -63,6 +63,33 @@ class TestSimulatorBasics:
         for job in result.jobs:
             assert job.assigned_site == job.target_site
 
+    @pytest.mark.parametrize("plugin, options", [
+        ("least_loaded", {}),
+        ("follow_trace", {}),
+        ("panda_dispatcher", {"respect_target": True}),
+    ])
+    def test_a_job_wider_than_every_host_of_the_emptier_site_still_runs(self, plugin, options):
+        """At the parent this run never ended: eligibility read the site's total
+        cores (16 >= 8), admission needs one host that wide (4 x 4 cores), the
+        refused job was parked and every sweep offered it the same site again.
+        The horizon is the guard: there the clock got to it with the job pending."""
+        from dataclasses import replace
+
+        from repro.config.generators import generate_grid
+
+        infrastructure, topology = generate_grid(2, seed=1)
+        infrastructure.sites[:] = [
+            replace(site, cores=16, hosts=hosts) for site, hosts in zip(infrastructure.sites, (4, 1))
+        ]
+        narrow, wide = (site.name for site in infrastructure.sites)
+        execution = ExecutionConfig(
+            plugin=plugin, plugin_options=options, max_simulation_time=10_000.0
+        )
+        job = Job(work=1e9, cores=8, target_site=narrow)
+        result = Simulator(infrastructure, topology, execution).run([job])
+        assert (result.metrics.finished_jobs, result.metrics.failed_jobs) == (1, 0)
+        assert result.jobs[0].assigned_site == wide and result.pending_jobs == 0
+
     def test_max_simulation_time_stops_early(self, small_infrastructure):
         execution = ExecutionConfig(
             plugin="least_loaded",

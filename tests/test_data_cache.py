@@ -282,6 +282,7 @@ class TestResidentSetsFollowTheCatalogue:
             scan = {dataset for dataset, holders in catalogue.items() if site in holders}
             assert dm.datasets_at(site) == scan
             assert view.site(site).resident_data == frozenset(scan)
+            assert view.site(site).resident_data is dm.resident_data(site)
             assert dm.resident_data(site) is dm.resident_data(site)  # shared until a change
 
     def test_data_cache_shaped_run_with_evictions(self):

@@ -295,21 +295,46 @@ class TestBenchRegressionGate:
         spec.loader.exec_module(module)
         return module
 
+    CEILINGS = {"e2e_ratio_ceiling": 100.0, "dispatch_ratio_ceiling": 160.0,
+                "output_ratio_ceiling": 10.0}
+
     @staticmethod
-    def current(ratio, output_ratio=6.0):
+    def current(ratio, output_ratio=6.0, dispatch_ratio=120.0):
         return {"cpu_count": 64, "scale": 0.05, "rates": {}, "e2e_ratio": {"ratio": ratio},
+                "dispatch_ratio": {"ratio": dispatch_ratio},
                 "output_ratio": {"ratio": output_ratio}}
 
     def test_ratio_gate_applies_on_any_machine(self, gate, capsys):
         baseline = {"cpu_count": 1, "scale": 0.05, "rates": {"timeout_churn": 1.0},
-                    "e2e_ratio_ceiling": 100.0, "output_ratio_ceiling": 10.0}
+                    **self.CEILINGS}
         assert gate.compare(self.current(80.0), baseline) == 0
         assert gate.compare(self.current(140.0), baseline) == 1
         assert "above the committed ceiling 100.0" in capsys.readouterr().err
 
+    def test_dispatch_gate_fails_above_its_own_ceiling(self, gate, capsys):
+        """e2e_ratio runs follow_trace, which reads one site: only this gate sees
+        what a dispatch over every site costs (the parent of PR 19 read 221-226)."""
+        baseline = {"cpu_count": 1, "scale": 0.05, "rates": {}, **self.CEILINGS}
+        assert gate.compare(self.current(80.0, dispatch_ratio=159.0), baseline) == 0
+        assert "dispatch_ratio 159.0 vs ceiling 160.0 ok" in capsys.readouterr().out
+        assert gate.compare(self.current(80.0, dispatch_ratio=221.5), baseline) == 1
+        err = capsys.readouterr().err
+        assert "dispatch_ratio 221.5 is above the committed ceiling 160.0" in err
+        assert "e2e_ratio" not in err and "output_ratio" not in err
+
+    def test_dispatch_gate_run_dispatches_every_job_over_every_site(self, gate, monkeypatch):
+        from repro.plugins.bundled import PandaDispatcherPolicy
+
+        seen = []
+        assign = PandaDispatcherPolicy.assign_job
+        monkeypatch.setattr(PandaDispatcherPolicy, "assign_job", lambda self, job, resources: (
+            seen.append(len(resources)), assign(self, job, resources))[1])
+        monkeypatch.setattr(gate, "DISPATCH_SHAPE", (5, 30))
+        gate.dispatch_run()()
+        assert seen == [5] * 30
+
     def test_output_gate_fails_above_its_own_ceiling(self, gate, capsys):
-        baseline = {"cpu_count": 1, "scale": 0.05, "rates": {},
-                    "e2e_ratio_ceiling": 100.0, "output_ratio_ceiling": 10.0}
+        baseline = {"cpu_count": 1, "scale": 0.05, "rates": {}, **self.CEILINGS}
         assert gate.compare(self.current(80.0, output_ratio=9.9), baseline) == 0
         assert "output_ratio 9.9 vs ceiling 10.0 ok" in capsys.readouterr().out
         assert gate.compare(self.current(80.0, output_ratio=17.0), baseline) == 1
@@ -342,5 +367,5 @@ class TestBenchRegressionGate:
         import json
 
         baseline = json.loads(gate.BASELINE_PATH.read_text(encoding="utf-8"))
-        assert baseline["e2e_ratio_ceiling"] > 0
-        assert baseline["output_ratio_ceiling"] > 0
+        for ceiling_key, _meaning in gate.RATIO_GATES.values():
+            assert baseline[ceiling_key] > 0

@@ -62,6 +62,20 @@ class TestSiteStatusAndResourceView:
         )
         assert status.load_fraction == 0.0
 
+    def test_what_fits_is_decided_by_the_widest_host(self):
+        fields = dict(available_cores=16, core_speed=1e9, pending_jobs=0, running_jobs=0,
+                      assigned_jobs=0, finished_jobs=0)
+        one_host = SiteStatus(name="ONE", total_cores=16, **fields)  # hand-built: one host
+        four_hosts = SiteStatus(name="FOUR", total_cores=16, max_host_cores=4, **fields)
+        assert (one_host.max_host_cores, four_hosts.max_host_cores) == (16, 4)
+        view = ResourceView({"FOUR": four_hosts, "ONE": one_host})
+        assert [s.name for s in view.sites_that_fit(4)] == ["FOUR", "ONE"]
+        assert [s.name for s in view.sites_that_fit(8)] == ["ONE"]
+        assert view.least_loaded(4).name == "FOUR" and view.least_loaded(8).name == "ONE"
+        job = Job(work=1e9, cores=8, target_site="FOUR")
+        assert FollowTracePolicy().assign_job(job, view) == "ONE"
+        assert PandaDispatcherPolicy(respect_target=True).assign_job(job, view) == "ONE"
+
     def test_view_queries(self):
         view = make_view()
         assert set(view.site_names) == {"A", "B", "C"}
