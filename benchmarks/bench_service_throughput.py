@@ -9,8 +9,9 @@ fingerprint of an uninterrupted in-process run of the same pack, which
 makes this bench a standing large-N regression for the service's
 bit-identity contract (50 concurrent submissions at full scale).
 
-Sizes scale with ``CGSIM_BENCH_SCALE``; full-scale numbers are committed
-in BENCH_service.json.
+Sizes scale with ``CGSIM_BENCH_SCALE``.  The committed service numbers
+(BENCH_service.json) come from ``benchmarks/stack``, which measures the same
+path on five pack families.
 """
 
 from __future__ import annotations

@@ -17,7 +17,10 @@ baseline file: ``grid_end_to_end`` microseconds per job (the simulation;
 per job of a monitored 40-site run whose policy reads every site at every
 dispatch (what a dispatch costs), and microseconds per row of a synthetic
 monitored run written to CSV and SQLite through the output sinks (the output
-layer).  They run on every machine.
+layer).  The *service* is protected by a fourth: the wall time of one session
+through ``repro.service.workers._run_job`` (in-process, pipe stubs, a
+temporary artifact store) over the plain run of the same pack -- what serving
+a session costs on top of simulating it.  They run on every machine.
 
 Usage::
 
@@ -58,6 +61,21 @@ DISPATCH_SHAPE = (40, 1000)
 #: Fixed shape of the output gate's synthetic run: ``(events, snapshot ticks,
 #: sites, jobs)`` -- snapshot-heavy, like a monitored 40-site run.
 OUTPUT_SHAPE = (4000, 200, 40, 1000)
+#: Fixed pack of the served gate, the small ``replay_batch`` session shape of
+#: ``benchmarks/stack``: 8 synthetic sites, 40 half-hour jobs at t=0,
+#: ``follow_trace``, monitoring off; and the worker's checkpoint cadence.
+SERVED_PACK = {
+    "name": "served-gate",
+    "grid": {"kind": "synthetic", "sites": 8, "seed": 1},
+    "workload": {"generator": "synthetic", "jobs": 40, "seed": 7,
+                 "spec": {"walltime_median": 1800.0}},
+    "execution": {"plugin": "follow_trace", "seed": 7,
+                  "monitoring": {"enable_events": False, "snapshot_interval": 0.0}},
+}
+SERVED_CHECKPOINT_EVERY = 10_000.0
+#: A session takes milliseconds: each of the ``--repeat`` samples is the best
+#: of this many back-to-back runs.
+SERVED_RUNS = 5
 #: Headroom ``--write-baseline`` puts between a measured ratio and its ceiling.
 RATIO_HEADROOM = 0.35
 #: The ratio gates: measurement key -> (ceiling key, what got slower).
@@ -71,7 +89,45 @@ RATIO_GATES = {
         "output_ratio_ceiling",
         "the output layer got slower relative to the kernel",
     ),
+    "served_ratio": (
+        "served_ratio_ceiling",
+        "serving a session got slower relative to simulating it",
+    ),
 }
+
+
+def served_runs():
+    """The served gate's two calls: the plain run of ``SERVED_PACK`` and the
+    same pack through ``workers._run_job``; each returns the result fingerprint."""
+    from repro.scenarios.runner import _build_simulator
+    from repro.scenarios.schema import ScenarioPack
+    from repro.service import workers
+    from repro.service.store import ArtifactStore
+    from repro.state import fingerprint_result
+    from repro.workload.job import reset_job_id_counter
+
+    class Pipe(list):
+        """Both pipe ends of a worker: no command ever arrives, events pile up."""
+
+        send = list.append
+
+        def poll(self) -> bool:
+            return False
+
+    def plain() -> str:
+        reset_job_id_counter(1)
+        simulator, jobs = _build_simulator(ScenarioPack.from_dict(SERVED_PACK))
+        return fingerprint_result(simulator.session(jobs).advance_to_completion().finalize())
+
+    def served(store_root: str) -> str:
+        pipe = Pipe()
+        job = {"id": "gate", "pack": SERVED_PACK, "checkpoint_every": SERVED_CHECKPOINT_EVERY}
+        workers._run_job(0, job, pipe, pipe, ArtifactStore(store_root))
+        if pipe[-1]["type"] != "result":
+            raise RuntimeError(f"served run ended with {pipe[-1]}")
+        return pipe[-1]["fingerprint"]
+
+    return plain, served
 
 
 def dispatch_run():
@@ -164,8 +220,9 @@ def measure_ratios(repeat: int) -> dict:
 
     collector, jobs = synthetic_run()
     dispatch = dispatch_run()
+    plain, served = served_runs()
     rows = 0
-    job_s = dispatch_s = row_s = event_s = float("inf")
+    job_s = dispatch_s = row_s = event_s = plain_s = served_s = float("inf")
     for _ in range(max(1, repeat)):
         job_s = min(job_s, seconds(grid_end_to_end, E2E_JOBS))
         dispatch_s = min(dispatch_s, seconds(dispatch))
@@ -174,6 +231,12 @@ def measure_ratios(repeat: int) -> dict:
             rows = write_outputs(collector, jobs, Path(directory))
             row_s = min(row_s, time.perf_counter() - started)
         event_s = min(event_s, seconds(timeout_churn, *CHURN_ARGS))
+        with tempfile.TemporaryDirectory() as directory:
+            for _ in range(SERVED_RUNS):
+                plain_s = min(plain_s, seconds(plain))
+                served_s = min(served_s, seconds(served, directory))
+            if served(directory) != plain():
+                raise RuntimeError("served fingerprint differs from the plain run's")
     us_per_job = job_s / E2E_JOBS * 1e6
     us_per_dispatch = dispatch_s / DISPATCH_SHAPE[1] * 1e6
     us_per_row = row_s / rows * 1e6
@@ -196,6 +259,12 @@ def measure_ratios(repeat: int) -> dict:
             "us_per_row": round(us_per_row, 2),
             "us_per_event": round(us_per_event, 4),
             "ratio": round(us_per_row / us_per_event, 2),
+        },
+        "served_ratio": {
+            "jobs": SERVED_PACK["workload"]["jobs"],
+            "plain_ms": round(plain_s * 1e3, 3),
+            "served_ms": round(served_s * 1e3, 3),
+            "ratio": round(served_s / plain_s, 2),
         },
     }
 
@@ -314,6 +383,12 @@ def main() -> int:
     print(
         f"  output_rows: {output['us_per_row']:.2f} us/row ({output['rows']} rows to CSV + SQLite) "
         f"over timeout_churn {output['us_per_event']:.3f} us/event = ratio {output['ratio']:.2f}"
+    )
+
+    served = current["served_ratio"]
+    print(
+        f"  served session: {served['served_ms']:.2f} ms through workers._run_job over "
+        f"{served['plain_ms']:.2f} ms plain ({served['jobs']} jobs) = ratio {served['ratio']:.2f}"
     )
 
     if args.write_baseline:

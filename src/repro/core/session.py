@@ -159,8 +159,9 @@ class SimulationSession:
         #: Pristine copies of every submitted batch (wave 0 = construction);
         #: together with :attr:`_ops` these are the checkpoint's replay inputs.
         self._waves: List[List[Job]] = [[job.copy_for_replay() for job in self._jobs]]
-        #: Lifecycle op log: ["until", t] / ["completion"] / ["step", n] /
-        #: ["submit", wave_index] / ["stop", reason], in execution order.
+        #: Lifecycle op log: ["until", t] / ["completion"] or ["completion",
+        #: pause_at] / ["step", n] / ["submit", wave_index] / ["stop",
+        #: reason], in execution order.
         self._ops: List[list] = []
         #: An advance aborted by an exception leaves mid-bucket state replay
         #: cannot reproduce; checkpointing is refused until then.
@@ -458,8 +459,16 @@ class SimulationSession:
             raise SimulationError(f"advance_for delta must be >= 0, got {delta}")
         return self.advance_until(self.now + delta)
 
-    def advance_to_completion(self) -> "SimulationSession":
+    def advance_to_completion(self, pause_at: Optional[float] = None) -> "SimulationSession":
         """Run until the workload completes (or a stop condition fires).
+
+        With ``pause_at``, pause at that simulated time if it comes first;
+        when completion comes first the clock stays on the last event,
+        exactly where an unbounded call leaves it -- so a run driven in
+        chunks (``advance_to_completion(pause_at=now + every)`` until
+        :attr:`done`) ends in the state of one uninterrupted call, whatever
+        the cadence.  A ``pause_at`` in the past raises and one equal to
+        ``now`` is a no-op, as for :meth:`advance_until`.
 
         Honors the legacy ``execution.max_simulation_time`` contract exactly
         as :meth:`Simulator.run` always has: when set, the clock runs *to*
@@ -473,13 +482,27 @@ class SimulationSession:
             return self
         legacy_deadline = self._simulator.execution.max_simulation_time
         if legacy_deadline is not None:
+            if pause_at is not None:
+                legacy_deadline = min(float(pause_at), legacy_deadline)
             return self.advance_until(legacy_deadline)
-        if self._time_budget is not None and self._time_budget <= self.now:
+        now = self.now
+        deadline, budget_bound, op = self._time_budget, True, ["completion"]
+        if pause_at is not None:
+            pause_at = float(pause_at)
+            if pause_at < now:
+                raise SimulationError(
+                    f"advance_to_completion(pause_at={pause_at}) lies in the past (now={now})"
+                )
+            if pause_at == now:
+                return self
+            op.append(pause_at)
+            if deadline is None or pause_at < deadline:
+                deadline, budget_bound = pause_at, False
+        if deadline is not None and deadline <= now:  # a spent budget: a pause lies ahead
             self._request_stop("max_simulated_time")
-            self._ops.append(["completion"])
-            return self
-        self._advance(deadline=self._time_budget, budget_bound=True, to_completion=True)
-        self._ops.append(["completion"])
+        else:
+            self._advance(deadline=deadline, budget_bound=budget_bound, to_completion=True)
+        self._ops.append(op)
         return self
 
     # -- the advance engine -------------------------------------------------------
@@ -531,7 +554,8 @@ class SimulationSession:
             self._sentinel = sentinel
             if deadline is not None:
                 self._arm_deadline(deadline, sentinel, budget_bound)
-            if to_completion:
+            # A chunked drive re-enters here once per pause; one hook suffices.
+            if to_completion and self._completion_hook not in server.all_done.callbacks:
                 server.all_done.callbacks.append(self._completion_hook)
             env.run(until=sentinel)
         except BaseException:
@@ -894,7 +918,7 @@ class SimulationSession:
                 if kind == "until":
                     self.advance_until(op[1])
                 elif kind == "completion":
-                    self.advance_to_completion()
+                    self.advance_to_completion(*op[1:])
                 elif kind == "step":
                     for _ in range(int(op[1])):
                         if not self.step():

@@ -6,14 +6,15 @@ each assigned scenario pack through a :class:`~repro.core.session
 .SimulationSession` in checkpoint-sized chunks, and report events (progress,
 checkpoint digests, results, errors) on the event pipe.
 
-The chunked drive loop mirrors :func:`repro.state.drive_with_checkpoints`
-exactly -- chunking changes where the clock pauses, never what happens -- so
-a study's final :func:`~repro.state.fingerprint_result` is bit-identical to
-an uninterrupted ``repro scenario run`` of the same pack, whether the study
-ran in one piece, was paused and resumed on another worker, or was SIGKILLed
-mid-run and recovered from its latest blob.  Between chunks the worker polls
-its command pipe, which is what makes running sessions pausable and
-stoppable without threads inside the simulation.
+The chunks come from :func:`repro.state.advance_in_chunks`, the loop the CLI
+drives too -- chunking changes where the clock pauses, never what happens --
+so a study is simulated once and its final
+:func:`~repro.state.fingerprint_result` is bit-identical to an uninterrupted
+``repro scenario run`` of the same pack, whether the study ran in one piece,
+was paused and resumed on another worker, or was SIGKILLed mid-run and
+recovered from its latest blob.  At each pause the worker polls its command
+pipe, which is what makes running sessions pausable and stoppable without
+threads inside the simulation.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ def _send(conn, event: Dict[str, Any]) -> None:
 def _run_job(worker_id: int, job: Dict[str, Any], cmd_conn, event_conn, store) -> str:
     """Drive one assigned study; returns ``"done"``/``"yielded"``/``"shutdown"``."""
     from repro.scenarios.schema import ScenarioPack
+    from repro.state import advance_in_chunks, fingerprint_result
 
     session_id = str(job["id"])
 
@@ -90,7 +92,7 @@ def _run_job(worker_id: int, job: Dict[str, Any], cmd_conn, event_conn, store) -
         canonical = pack.to_dict()
         every = float(job.get("checkpoint_every") or DEFAULT_CHECKPOINT_EVERY)
         _reset_job_ids()
-        session = _open_session(store, job, canonical)
+        session = _open_session(store, job.get("resume"), pack, canonical)
     except Exception as exc:  # noqa: BLE001 - the pool must survive bad jobs
         emit("job-error", error=f"{type(exc).__name__}: {exc}",
              detail=traceback.format_exc()[-2000:])
@@ -104,25 +106,17 @@ def _run_job(worker_id: int, job: Dict[str, Any], cmd_conn, event_conn, store) -
         time=session.now,
     )
     provenance = {"scenario_pack": canonical, "service_session": session_id}
-    last_checkpoint: Dict[str, Any] = {
-        "time": None,
-        "digest": job.get("resume"),
-        # The newest blob's bytes: the state at the last chunk boundary,
-        # which the exact-tail replay below re-opens.
-        "blob": store.get(job["resume"]) if job.get("resume") else None,
-    }
+    last_checkpoint: Dict[str, Any] = {"time": None, "digest": job.get("resume")}
 
     def checkpoint_now() -> Optional[str]:
         # Skip duplicate blobs of an unchanged clock (mirrors the driver's
         # same-time guard); the previous digest keeps pointing at the state.
         if last_checkpoint["time"] == session.now and last_checkpoint["digest"]:
             return last_checkpoint["digest"]
-        blob = session.checkpoint(extra=provenance)
-        digest = store.put(blob)
+        digest = store.put(session.checkpoint(extra=provenance))
         store.set_latest(session_id, digest)
         last_checkpoint["time"] = session.now
         last_checkpoint["digest"] = digest
-        last_checkpoint["blob"] = blob
         emit("checkpoint", digest=digest, time=session.now)
         return digest
 
@@ -146,39 +140,26 @@ def _run_job(worker_id: int, job: Dict[str, Any], cmd_conn, event_conn, store) -
             },
         )
 
+    def obey_commands() -> Optional[str]:
+        """Act on a pending control command; an outcome means the job yields."""
+        action = _poll_command(cmd_conn, session_id)
+        if action == "stop":
+            session.stop("stopped by service client")  # ends the chunk loop
+        elif action in ("pause", "shutdown"):
+            emit("yielded", digest=checkpoint_now(), time=session.now)
+            return "yielded" if action == "pause" else "shutdown"
+        return None
+
     try:
-        legacy_deadline = session.simulator.execution.max_simulation_time
-        while session.stopped_reason is None:
-            action = _poll_command(cmd_conn, session_id)
-            if action == "stop":
-                session.stop("stopped by service client")
+        pauses = advance_in_chunks(session, every)
+        while True:
+            outcome = obey_commands()
+            if outcome is not None:
+                return outcome
+            if next(pauses, None) is None:  # ran the last chunk: the run is over
                 break
-            if action in ("pause", "shutdown"):
-                digest = checkpoint_now()
-                emit("yielded", digest=digest, time=session.now)
-                return "yielded" if action == "pause" else "shutdown"
-            if legacy_deadline is not None:
-                next_pause = min(session.now + every, legacy_deadline)
-                if next_pause <= session.now:
-                    break
-                session.advance_until(next_pause)
-            else:
-                if session.done:
-                    break
-                session.advance_for(every)
-                if session.done and session.stopped_reason is None:
-                    # The workload drained mid-chunk, but advance_for parks
-                    # the clock on the chunk boundary (SimGrid semantics)
-                    # while an uninterrupted run ends on the last event.
-                    # Re-open the state at the previous boundary and drive
-                    # the tail with one advance_to_completion, so the final
-                    # clock -- and the result fingerprint -- are
-                    # bit-identical to ``repro scenario run`` of this pack.
-                    session = _reopen(store, job, canonical, last_checkpoint["blob"])
-                    break
             checkpoint_now()
             emit_progress()
-        session.advance_to_completion()
         result = session.finalize()
     except Exception as exc:  # noqa: BLE001 - record the failure, keep the pool
         session.simulator._close_live_sinks()
@@ -187,7 +168,6 @@ def _run_job(worker_id: int, job: Dict[str, Any], cmd_conn, event_conn, store) -
         return "done"
 
     from repro.scenarios.runner import _data_extras, _reliability_extras
-    from repro.state import fingerprint_result
 
     extras: Dict[str, float] = {}
     if pack.faults is not None or pack.execution.max_retries:
@@ -219,27 +199,7 @@ def _reset_job_ids() -> None:
     reset_job_id_counter(1)
 
 
-def _reopen(store: ArtifactStore, job: Dict[str, Any], canonical: dict, blob):
-    """Re-open the state at the last chunk boundary for the exact tail.
-
-    ``blob`` is the newest checkpoint's bytes; ``None`` means no boundary
-    was reached yet (the workload drained inside the very first chunk), in
-    which case the exact tail is simply a cold rebuild of the pack.
-    """
-    _reset_job_ids()
-    if blob is None:
-        from repro.scenarios.runner import _build_simulator
-        from repro.scenarios.schema import ScenarioPack
-
-        simulator, jobs = _build_simulator(ScenarioPack.from_dict(canonical))
-        return simulator.session(jobs)
-    from repro.state import restore_session_from_blob
-
-    session, _ = restore_session_from_blob(blob, expected_pack=canonical)
-    return session
-
-
-def _open_session(store: ArtifactStore, job: Dict[str, Any], canonical: dict):
+def _open_session(store: ArtifactStore, resume: Optional[str], pack, canonical: dict):
     """Build the job's session: cold from the pack, or resumed from a blob.
 
     Resume goes through :func:`repro.state.restore_session_from_blob` with
@@ -247,7 +207,6 @@ def _open_session(store: ArtifactStore, job: Dict[str, Any], canonical: dict):
     pointing at a blob from a different pack is a hard error, never a
     silent wrong-study replay.
     """
-    resume = job.get("resume")
     if resume:
         from repro.state import restore_session_from_blob
 
@@ -256,9 +215,8 @@ def _open_session(store: ArtifactStore, job: Dict[str, Any], canonical: dict):
         )
         return session
     from repro.scenarios.runner import _build_simulator
-    from repro.scenarios.schema import ScenarioPack
 
-    simulator, jobs = _build_simulator(ScenarioPack.from_dict(canonical))
+    simulator, jobs = _build_simulator(pack)
     return simulator.session(jobs)
 
 

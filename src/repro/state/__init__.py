@@ -32,6 +32,7 @@ from repro.state.checkpoint import (
     fingerprint_result,
 )
 from repro.state.driver import (
+    advance_in_chunks,
     drive_with_checkpoints,
     restore_session_from_blob,
     session_factory_for_payload,
@@ -47,6 +48,7 @@ __all__ = [
     "decode_checkpoint",
     "checkpoint_fingerprint",
     "fingerprint_result",
+    "advance_in_chunks",
     "drive_with_checkpoints",
     "session_factory_for_payload",
     "restore_session_from_blob",

@@ -1,28 +1,31 @@
 """Drive a session to completion while writing periodic checkpoints.
 
-:func:`drive_with_checkpoints` is the loop shared by ``repro run
---checkpoint-every``, ``repro resume`` and ``repro scenario run
---checkpoint-dir``: advance the session in bounded chunks, freeze a blob
-after every chunk, and leave ``latest.ckpt`` pointing at the newest state so
-a crashed (or killed) study resumes from its last boundary instead of cold.
+:func:`advance_in_chunks` is the one chunk loop of the code base -- ``repro
+run --checkpoint-every``, ``repro resume``, ``repro scenario run
+--checkpoint-dir`` (through :func:`drive_with_checkpoints`, which freezes a
+blob at every pause and leaves ``latest.ckpt`` pointing at the newest state)
+and the service workers (which put the blob in their store) all run it, so a
+crashed or killed study resumes from its last pause instead of cold.
 
-The chunking changes *where the clock pauses*, never what happens: stop
-conditions, simulated-time budgets and the legacy
-``execution.max_simulation_time`` contract all fire exactly as they do under
-one uninterrupted :meth:`~repro.core.session.SimulationSession
-.advance_to_completion` -- the same guarantee the session's own chunked
-lifecycle gives.  A run driven by this helper can therefore be resumed from
-any of its blobs and still land on the same final state.
+The chunking changes *where the clock pauses*, never what happens: every
+chunk is an :meth:`~repro.core.session.SimulationSession
+.advance_to_completion` that pauses at the chunk boundary, so the run ends
+on the workload's last event (or its stop condition, simulated-time budget
+or legacy ``execution.max_simulation_time`` deadline) with the result of one
+uninterrupted call, for any cadence -- and can be resumed from any of its
+blobs, at any other cadence, and still land there
+(``tests/test_chunked_equivalence.py``).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.utils.errors import CheckpointError
 
 __all__ = [
+    "advance_in_chunks",
     "drive_with_checkpoints",
     "session_factory_for_payload",
     "restore_session_from_blob",
@@ -97,6 +100,26 @@ def restore_session_from_blob(
     return session, payload
 
 
+def advance_in_chunks(session, every: float) -> Iterator[float]:
+    """Advance ``session`` to the end of its run, yielding at every pause.
+
+    Each chunk is ``advance_to_completion(pause_at=now + every)``; the
+    generator yields the clock at each pause -- the caller checkpoints,
+    reports progress, or stops/abandons the session there -- and returns
+    once the run is over: the workload completed (clock on its last event),
+    the session stopped, or the clock reached the legacy
+    ``execution.max_simulation_time`` deadline.  The end of the run is not
+    a pause and is not yielded.
+    """
+    legacy_deadline = session.simulator.execution.max_simulation_time
+    while True:
+        session.advance_to_completion(pause_at=session.now + every)
+        ended = session.done if legacy_deadline is None else session.now >= legacy_deadline
+        if ended or session.stopped_reason is not None:
+            return
+        yield session.now
+
+
 def drive_with_checkpoints(
     session,
     directory,
@@ -108,12 +131,14 @@ def drive_with_checkpoints(
 
     ``every`` is the chunk length in simulated seconds: the session advances
     in chunks of that size and a blob (``checkpoint_t<time>.ckpt`` plus an
-    always-current ``latest.ckpt``) is written at each pause.  With ``every``
-    omitted, the run advances in one go and a single blob freezes the final
-    state.  ``until`` bounds the advance at an absolute simulated time (the
-    CLI's ``--until``); otherwise the session runs to workload completion,
-    honoring stop conditions and the legacy ``max_simulation_time`` deadline.
-    ``extra`` is stored verbatim in every blob (scenario-pack provenance).
+    always-current ``latest.ckpt``) is written at each pause and at the end.
+    With ``every`` omitted, the run advances in one go and a single blob
+    freezes the final state.  ``until`` bounds the advance at an absolute
+    simulated time (the CLI's ``--until``: the clock parks on it); otherwise
+    the session runs to workload completion exactly as one
+    ``advance_to_completion()`` would, honoring stop conditions and the
+    legacy ``max_simulation_time`` deadline.  ``extra`` is stored verbatim in
+    every blob (scenario-pack provenance).
     """
     if every is not None and every <= 0:
         raise CheckpointError(f"checkpoint interval must be positive, got {every}")
@@ -140,23 +165,10 @@ def drive_with_checkpoints(
             while session.stopped_reason is None and session.now < target:
                 session.advance_until(min(session.now + every, target))
                 write()
-        write()
-        return written
-
-    legacy_deadline = session.simulator.execution.max_simulation_time
-    if every is not None:
-        while session.stopped_reason is None:
-            if legacy_deadline is not None:
-                next_pause = min(session.now + every, legacy_deadline)
-                if next_pause <= session.now:
-                    break
-                session.advance_until(next_pause)
-                write()
-            else:
-                if session.done:
-                    break
-                session.advance_for(every)
-                write()
-    session.advance_to_completion()
+    elif every is None:
+        session.advance_to_completion()
+    else:
+        for _ in advance_in_chunks(session, every):
+            write()
     write()
     return written

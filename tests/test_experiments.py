@@ -296,13 +296,14 @@ class TestBenchRegressionGate:
         return module
 
     CEILINGS = {"e2e_ratio_ceiling": 100.0, "dispatch_ratio_ceiling": 160.0,
-                "output_ratio_ceiling": 10.0}
+                "output_ratio_ceiling": 10.0, "served_ratio_ceiling": 1.9}
 
     @staticmethod
-    def current(ratio, output_ratio=6.0, dispatch_ratio=120.0):
+    def current(ratio, output_ratio=6.0, dispatch_ratio=120.0, served_ratio=1.4):
         return {"cpu_count": 64, "scale": 0.05, "rates": {}, "e2e_ratio": {"ratio": ratio},
                 "dispatch_ratio": {"ratio": dispatch_ratio},
-                "output_ratio": {"ratio": output_ratio}}
+                "output_ratio": {"ratio": output_ratio},
+                "served_ratio": {"ratio": served_ratio}}
 
     def test_ratio_gate_applies_on_any_machine(self, gate, capsys):
         baseline = {"cpu_count": 1, "scale": 0.05, "rates": {"timeout_churn": 1.0},
@@ -358,6 +359,20 @@ class TestBenchRegressionGate:
         assert counts == [60, 12, 10]
         for name, rows in (("events.csv", 60), ("snapshots.csv", 12), ("jobs.csv", 10)):
             assert len((tmp_path / "csv" / name).read_text().splitlines()) == rows + 1
+
+    def test_served_gate_fails_above_its_own_ceiling(self, gate, capsys):
+        """The parent of PR 20 simulated every served session twice: 2.3-2.8."""
+        baseline = {"cpu_count": 1, "scale": 0.05, "rates": {}, **self.CEILINGS}
+        assert gate.compare(self.current(80.0, served_ratio=2.3), baseline) == 1
+        err = capsys.readouterr().err
+        assert "served_ratio 2.3 is above the committed ceiling 1.9" in err
+        assert "e2e_ratio" not in err and "output_ratio" not in err
+
+    def test_served_gate_runs_one_pack_both_ways(self, gate, tmp_path):
+        plain, served = gate.served_runs()
+        assert served(str(tmp_path)) == plain()
+        assert gate.SERVED_PACK["workload"]["jobs"] == 40
+        assert list(tmp_path.rglob("*")), "the served run stored no checkpoint blob"
 
     def test_baseline_without_a_ceiling_fails(self, gate, capsys):
         assert gate.compare(self.current(80.0), {"cpu_count": 1, "rates": {}}) == 1

@@ -566,17 +566,24 @@ class TestDriveWithCheckpoints:
         self, tmp_path, small_infrastructure, workload_generator
     ):
         jobs = workload_generator.generate(30)
-        reset_job_id_counter(COUNTER_BASE)
-        session = Simulator(small_infrastructure, execution=_quiet()).session(
-            [j.copy_for_replay() for j in jobs]
-        )
+
+        def fresh():
+            reset_job_id_counter(COUNTER_BASE)
+            return Simulator(small_infrastructure, execution=_quiet()).session(
+                [j.copy_for_replay() for j in jobs]
+            )
+
+        uninterrupted = _finish(fresh())
+        expected = fingerprint_result(uninterrupted)
+        session = fresh()
         written = drive_with_checkpoints(session, tmp_path / "origin", every=400.0)
-        expected = fingerprint_result(session.finalize())
-        for index, path in enumerate(written[:-1]):
+        assert len(written) >= 3
+        result = session.finalize()
+        assert result.simulated_time == uninterrupted.simulated_time
+        assert fingerprint_result(result) == expected
+        for index, path in enumerate(written):
             restored = SimulationSession.restore(None, path.read_bytes())
-            # Continue with the same chunking so the final clock lands on the
-            # same boundary the original drive stopped at.
-            drive_with_checkpoints(restored, tmp_path / f"resume{index}", every=400.0)
+            drive_with_checkpoints(restored, tmp_path / f"resume{index}", every=170.0)
             assert fingerprint_result(restored.finalize()) == expected
 
     def test_until_bounds_the_drive(self, tmp_path, small_infrastructure, workload_generator):
@@ -584,6 +591,25 @@ class TestDriveWithCheckpoints:
         session = Simulator(small_infrastructure, execution=_quiet()).session(jobs)
         drive_with_checkpoints(session, tmp_path, every=300.0, until=900.0)
         assert session.now == pytest.approx(900.0)
+
+    @pytest.mark.parametrize("every", [None, 7000.0, 1300.0])
+    def test_legacy_deadline_runs_the_clock_to_it(
+        self, tmp_path, small_infrastructure, workload_generator, every
+    ):
+        # The legacy max_simulation_time contract: the clock runs *to* the
+        # deadline, past workload completion, chunked or not.
+        jobs = workload_generator.generate(30)
+        execution = _quiet(max_simulation_time=20_000.0)
+        reset_job_id_counter(COUNTER_BASE)
+        expected = _finish(Simulator(small_infrastructure, execution=execution).session(
+            [j.copy_for_replay() for j in jobs]
+        ))
+        assert expected.simulated_time == 20_000.0
+        reset_job_id_counter(COUNTER_BASE)
+        session = Simulator(small_infrastructure, execution=execution).session(jobs)
+        drive_with_checkpoints(session, tmp_path, every=every)
+        assert session.done and session.now == 20_000.0
+        assert fingerprint_result(session.finalize()) == fingerprint_result(expected)
 
     def test_honours_stop_conditions(self, tmp_path, small_infrastructure, workload_generator):
         jobs = workload_generator.generate(40)
