@@ -17,8 +17,7 @@ process-oriented discrete-event core:
   :class:`~repro.des.resources.PriorityResource`,
   :class:`~repro.des.resources.Container` -- counted resources with FIFO or
   priority queueing, used for CPU cores and storage space.
-* :class:`~repro.des.stores.Store`, :class:`~repro.des.stores.FilterStore`,
-  :class:`~repro.des.stores.PriorityStore` -- mailboxes/queues used for the
+* :class:`~repro.des.stores.Store` -- the FIFO mailbox used for the
   sender/receiver actor communication in the simulation core.
 
 The public API intentionally mirrors the well-known SimPy interface so that
@@ -36,7 +35,7 @@ from repro.des.events import (
     Timeout,
 )
 from repro.des.resources import Container, PriorityResource, Resource
-from repro.des.stores import FilterStore, PriorityItem, PriorityStore, Store
+from repro.des.stores import Store
 
 __all__ = [
     "Environment",
@@ -51,7 +50,4 @@ __all__ = [
     "PriorityResource",
     "Container",
     "Store",
-    "FilterStore",
-    "PriorityStore",
-    "PriorityItem",
 ]

@@ -32,7 +32,7 @@ Quickstart
 [2, 2]
 """
 
-from repro.experiments.aggregate import aggregate_results, scenario_metric_values
+from repro.experiments.aggregate import aggregate_results
 from repro.experiments.bench import (
     KernelBenchResult,
     kernel_workloads,
@@ -58,7 +58,6 @@ __all__ = [
     "parallel_map",
     "default_workers",
     "aggregate_results",
-    "scenario_metric_values",
     "KernelBenchResult",
     "kernel_workloads",
     "run_kernel_benchmarks",

@@ -15,23 +15,12 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.analysis.stats import bootstrap_ci
 from repro.experiments.spec import RunResult
 
-__all__ = ["aggregate_results", "scenario_metric_values"]
+__all__ = ["aggregate_results"]
 
 #: Bootstrap resamples used for the per-scenario confidence intervals; small
 #: because sweep tables are rendered interactively, and seeded so aggregate
 #: output is deterministic for a given set of runs.
 _BOOTSTRAP_RESAMPLES = 500
-
-
-def scenario_metric_values(
-    results: Iterable[RunResult], metric: str
-) -> Dict[str, List[float]]:
-    """Group one grid-level metric by scenario, preserving run order."""
-    grouped: Dict[str, List[float]] = {}
-    for result in results:
-        if result.ok:
-            grouped.setdefault(result.spec.scenario, []).append(result.metric(metric))
-    return grouped
 
 
 def aggregate_results(

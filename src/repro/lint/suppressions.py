@@ -20,7 +20,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["Suppression", "parse_suppressions"]
 
@@ -82,7 +82,3 @@ def parse_suppressions(source: str) -> Dict[int, Suppression]:
         )
     return found
 
-
-def suppression_lines(source: str) -> List[int]:
-    """Line numbers carrying an ignore comment (helper for tooling/tests)."""
-    return sorted(parse_suppressions(source))

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 
-from repro.monitoring.events import EventRecord
 from repro.workload.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -16,7 +15,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "event_feature_names",
     "job_feature_names",
-    "event_features",
     "event_matrix",
     "job_features",
 ]
@@ -43,20 +41,6 @@ def event_feature_names() -> List[str]:
         "assigned_jobs",
         "finished_jobs",
         "cores",
-    ]
-
-
-def event_features(event: EventRecord) -> List[float]:
-    """Numeric feature vector of one event record."""
-    return [
-        float(event.time),
-        float(event.job_id),
-        _STATE_CODES.get(event.state, -1.0),
-        float(event.available_cores),
-        float(event.pending_jobs),
-        float(event.assigned_jobs),
-        float(event.finished_jobs),
-        float(event.extra.get("cores", 1.0)),
     ]
 
 

@@ -9,9 +9,10 @@ back-ends are attached (SQLite, CSV, the dashboard).
 Batching and detail levels
 --------------------------
 Sinks are fed in batches of ``batch_size`` rows through their
-``write_batch`` method (``write_event`` per record remains supported for
-legacy sinks), which turns per-transition Python call fan-out into one
-``executemany``/``writerows`` per batch.  Two knobs bound the volume of a
+``write_batch`` method and one tick of snapshots at a time through
+``write_snapshots``, which turns per-transition Python call fan-out into
+one ``executemany``/``writerows`` per batch.  :meth:`MonitoringCollector.attach`
+refuses a sink lacking either method.  Two knobs bound the volume of a
 huge run:
 
 * ``detail="aggregate"`` records no per-event rows at all -- only the O(1)
@@ -27,7 +28,7 @@ of silently returning an empty dataset.
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, Sequence
+from typing import Dict, Iterable, List, Protocol, Sequence
 
 from repro.monitoring.events import EventRecord, SiteSnapshot, snapshot_row
 from repro.monitoring.trace_buffer import TraceBuffer
@@ -38,9 +39,9 @@ __all__ = ["MonitoringCollector"]
 
 
 class _Sink(Protocol):  # pragma: no cover - structural typing only
-    def write_event(self, record: EventRecord) -> None: ...
+    def write_batch(self, rows: Iterable[tuple]) -> None: ...
 
-    def write_snapshot(self, snapshot: SiteSnapshot) -> None: ...
+    def write_snapshots(self, rows: Iterable[tuple]) -> None: ...
 
 
 class MonitoringCollector:
@@ -101,7 +102,18 @@ class MonitoringCollector:
 
     # -- sink management -------------------------------------------------------
     def attach(self, sink: _Sink) -> None:
-        """Attach a persistence back-end receiving batches of recorded rows."""
+        """Attach a persistence back-end receiving batches of recorded rows.
+
+        Raises
+        ------
+        MonitoringError
+            If ``sink`` lacks ``write_batch`` or ``write_snapshots``.
+        """
+        for method in ("write_batch", "write_snapshots"):
+            if not hasattr(sink, method):
+                raise MonitoringError(
+                    f"monitoring sink {type(sink).__name__} has no {method}() method"
+                )
         self._sinks.append(sink)
 
     def add_transition_listener(self, listener) -> None:
@@ -182,9 +194,8 @@ class MonitoringCollector:
     def record_snapshots(self, snapshots: Sequence[SiteSnapshot]) -> None:
         """Record one tick's site snapshots (low rate: written through).
 
-        Sinks with a ``write_snapshots`` method receive the tick as one batch
-        of ``SNAPSHOT_FIELDS`` row tuples; ``write_snapshot`` per object
-        remains supported for legacy sinks.
+        Every sink receives the tick as one ``write_snapshots`` batch of
+        ``SNAPSHOT_FIELDS`` row tuples.
         """
         if self.muted:
             return
@@ -193,31 +204,20 @@ class MonitoringCollector:
         latest = self._latest
         for snapshot in snapshots:
             latest[snapshot.site] = snapshot
-        rows = list(map(snapshot_row, snapshots)) if self._sinks else ()
-        for sink in self._sinks:
-            write_snapshots = getattr(sink, "write_snapshots", None)
-            if write_snapshots is not None:
-                write_snapshots(rows)
-            else:  # legacy per-record sink
-                for snapshot in snapshots:
-                    sink.write_snapshot(snapshot)
+        if self._sinks:
+            rows = list(map(snapshot_row, snapshots))
+            for sink in self._sinks:
+                sink.write_snapshots(rows)
 
     def _flush_events(self) -> None:
         """Hand all unflushed buffered rows to the sinks, batched."""
         buffer = self.buffer
         start = self._flushed
         stop = len(buffer)
-        if stop > start:
-            rows = None
+        if stop > start and self._sinks:
+            rows = buffer.rows(start, stop)
             for sink in self._sinks:
-                write_batch = getattr(sink, "write_batch", None)
-                if write_batch is not None:
-                    if rows is None:
-                        rows = buffer.rows(start, stop)
-                    write_batch(rows)
-                else:  # legacy per-record sink
-                    for index in range(start, stop):
-                        sink.write_event(buffer.record(index))
+                sink.write_batch(rows)
         if self.keep_in_memory:
             self._flushed = stop
         else:

@@ -1,4 +1,4 @@
-"""Platform model: hosts, links, zones, routing, network and CPU sharing.
+"""Platform model: hosts, links, zones, routing and the network.
 
 This package reproduces the part of SimGrid that CGSim relies on: a
 description of the simulated hardware (computing sites made of hosts with
@@ -14,13 +14,10 @@ activities into simulated durations:
   one computing site to one SimGrid netzone.
 * :class:`~repro.platform.network.NetworkModel` -- a flow-level network model
   with progressive-filling max-min fair bandwidth sharing.
-* :class:`~repro.platform.compute.ComputeModel` -- slot-based and fair-share
-  CPU execution models.
 * :class:`~repro.platform.platform.Platform` -- the top-level object gluing
   zones, routes and models together; built from the topology configuration.
 """
 
-from repro.platform.compute import ComputeModel, Execution
 from repro.platform.host import Host
 from repro.platform.link import Link
 from repro.platform.network import Flow, NetworkModel
@@ -36,8 +33,6 @@ __all__ = [
     "Platform",
     "NetworkModel",
     "Flow",
-    "ComputeModel",
-    "Execution",
     "Storage",
     "Route",
     "RoutingTable",

@@ -1,8 +1,8 @@
-"""The :class:`Platform` facade: zones, routing, network and compute models.
+"""The :class:`Platform` facade: zones, routing and the network model.
 
 A :class:`Platform` is the complete simulated hardware: every zone (site)
 with its hosts and storage, the inter-zone topology, and the shared
-performance models (flow-level network, compute).  It is what allocation
+flow-level network model.  It is what allocation
 policy plugins see through ``get_resource_information`` and what the
 simulation core executes jobs against.
 
@@ -13,10 +13,9 @@ the topology/infrastructure configuration files through
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.des import Environment
-from repro.platform.compute import ComputeModel
 from repro.platform.host import Host
 from repro.platform.link import Link
 from repro.platform.network import NetworkModel
@@ -48,7 +47,6 @@ class Platform:
         self._storages: Dict[str, Storage] = {}
         self.routing = RoutingTable(weight=routing_weight)
         self.network = NetworkModel(env)
-        self.compute = ComputeModel(env)
 
     # -- construction -----------------------------------------------------------
     def add_zone(

@@ -21,7 +21,6 @@ __all__ = [
     "Job",
     "JobIdAllocator",
     "allocate_job_id",
-    "job_id_counter",
     "reset_job_id_counter",
 ]
 
@@ -87,15 +86,6 @@ def allocate_job_id() -> int:
     with external callers.
     """
     return next(_job_counter)
-
-
-def job_id_counter() -> int:
-    """Return the id the process-global job counter would hand out next.
-
-    Kept for compatibility: with retry ids now allocated per simulator,
-    cross-run fingerprint comparisons no longer depend on this counter.
-    """
-    return _job_counter.peek()
 
 
 def reset_job_id_counter(next_value: int) -> None:

@@ -1,8 +1,8 @@
-"""Tests for Store, FilterStore and PriorityStore (repro.des.stores)."""
+"""Tests for Store (repro.des.stores)."""
 
 import pytest
 
-from repro.des import Environment, FilterStore, PriorityItem, PriorityStore, Store
+from repro.des import Environment, Store
 from repro.utils.errors import SimulationError
 
 
@@ -75,102 +75,40 @@ class TestStore:
         env.run()
         assert len(store) == 2
 
-
-class TestFilterStore:
-    def test_filter_retrieves_matching_item(self, env):
-        store = FilterStore(env)
+    def test_waiting_gets_are_served_in_request_order(self, env):
+        store = Store(env)
         received = []
 
+        def consumer(env, name):
+            item = yield store.get()
+            received.append((name, item))
+
         def producer(env):
-            for item in [1, 2, 3, 4]:
+            yield env.timeout(1)
+            for item in ["first", "second", "third"]:
                 yield store.put(item)
 
-        def consumer(env):
-            item = yield store.get(lambda x: x % 2 == 0)
-            received.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert received == [2]
-        assert list(store.items) == [1, 3, 4]
-
-    def test_filter_waits_for_matching_item(self, env):
-        store = FilterStore(env)
-        received = []
-
-        def consumer(env):
-            item = yield store.get(lambda x: x == "target")
-            received.append((item, env.now))
-
-        def producer(env):
-            yield store.put("other")
-            yield env.timeout(5)
-            yield store.put("target")
-
-        env.process(consumer(env))
+        for name in ["a", "b", "c"]:
+            env.process(consumer(env, name))
         env.process(producer(env))
         env.run()
-        assert received == [("target", 5.0)]
+        assert received == [("a", "first"), ("b", "second"), ("c", "third")]
 
-    def test_get_without_filter_behaves_like_fifo(self, env):
-        store = FilterStore(env)
+    def test_waiting_puts_are_served_in_request_order(self, env):
+        store = Store(env, capacity=1)
         received = []
 
-        def proc(env):
-            yield store.put("a")
-            yield store.put("b")
-            received.append((yield store.get()))
-
-        env.process(proc(env))
-        env.run()
-        assert received == ["a"]
-
-
-class TestPriorityStore:
-    def test_lowest_priority_first(self, env):
-        store = PriorityStore(env)
-        received = []
-
-        def producer(env):
-            yield store.put(PriorityItem(5, "low"))
-            yield store.put(PriorityItem(1, "high"))
-            yield store.put(PriorityItem(3, "mid"))
+        def producer(env, item):
+            yield store.put(item)
 
         def consumer(env):
-            # Start after every item is in the store so retrieval order is
-            # decided purely by priority.
             yield env.timeout(1)
             for _ in range(3):
-                item = yield store.get()
-                received.append(item.item)
+                received.append((yield store.get()))
 
-        env.process(producer(env))
+        for item in ["x", "y", "z"]:
+            env.process(producer(env, item))
         env.process(consumer(env))
         env.run()
-        assert received == ["high", "mid", "low"]
-
-    def test_requires_priority_items(self, env):
-        store = PriorityStore(env)
-
-        def proc(env):
-            yield store.put("bare item")
-
-        env.process(proc(env))
-        with pytest.raises(SimulationError):
-            env.run()
-
-    def test_priority_item_payload_not_compared(self, env):
-        # Payloads that are not orderable must not break the heap.
-        store = PriorityStore(env)
-        received = []
-
-        def proc(env):
-            yield store.put(PriorityItem(1, {"a": 1}))
-            yield store.put(PriorityItem(1, {"b": 2}))
-            received.append((yield store.get()).item)
-            received.append((yield store.get()).item)
-
-        env.process(proc(env))
-        env.run()
-        assert {"a": 1} in received and {"b": 2} in received
+        assert received == ["x", "y", "z"]
+        assert len(store) == 0

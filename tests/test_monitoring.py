@@ -176,25 +176,18 @@ class TestMonitoringCollector:
 
     def test_a_tick_reaches_batching_sinks_as_one_batch_of_rows(self):
         collector = MonitoringCollector(keep_in_memory=False)
-        batches, singles = [], []
+        batches = []
 
         class BatchSink:
-            def write_event(self, record): ...
+            def write_batch(self, rows): ...
 
             def write_snapshot(self, snapshot):
-                raise AssertionError("a sink with write_snapshots gets batches only")
+                raise AssertionError("a sink gets snapshot batches only")
 
             def write_snapshots(self, rows):
                 batches.append(list(rows))
 
-        class LegacySink:
-            def write_event(self, record): ...
-
-            def write_snapshot(self, snapshot):
-                singles.append(snapshot)
-
         collector.attach(BatchSink())
-        collector.attach(LegacySink())
         tick = [
             SiteSnapshot(
                 time=300.0, site=site, total_cores=10, available_cores=4,
@@ -204,18 +197,17 @@ class TestMonitoringCollector:
         ]
         collector.record_snapshots(tick)
         assert batches == [[snapshot_row(s) for s in tick]]
-        assert singles == tick
 
     def test_keep_in_memory_false_still_feeds_sinks(self):
         collector = MonitoringCollector(keep_in_memory=False)
         seen = []
 
         class Sink:
-            def write_event(self, record):
-                seen.append(record)
+            def write_batch(self, rows):
+                seen.extend(rows)
 
-            def write_snapshot(self, snapshot):
-                seen.append(snapshot)
+            def write_snapshots(self, rows):
+                seen.extend(rows)
 
         collector.attach(Sink())
         collector.record_transition(Job(work=1), JobState.PENDING, 0.0)

@@ -1,106 +1,108 @@
-"""Tests for the CPU execution models (repro.platform.compute)."""
+"""Tests for the slot execution model as the simulator runs it.
+
+A job is granted whole cores of one host and holds them for
+``work / (speed * cores * efficiency)`` seconds (:meth:`Host.duration_for`)
+plus the site's ``walltime_overhead``; when it ends, the host books the
+core-seconds it held (:meth:`Host.account_busy`).
+"""
 
 import pytest
 
-from repro.des import Environment
-from repro.platform import ComputeModel, Host
-from repro.utils.errors import PlatformError
+from repro.config.infrastructure import InfrastructureConfig, SiteConfig
+from repro.core.site import SiteRuntime
+from repro.platform import Host
+from repro.platform.builder import build_platform
+from repro.utils.errors import ConfigurationError, PlatformError
+from repro.workload.job import Job, JobState
+
+
+def build_site(env, cores, overhead=0.0, failure_model=None):
+    config = SiteConfig(
+        name="SITE", cores=cores, core_speed=1e9, hosts=1, walltime_overhead=overhead
+    )
+    platform = build_platform(env, InfrastructureConfig(sites=[config]))
+    site = SiteRuntime(env, platform, config, failure_model=failure_model)
+    (host,) = platform.zone("SITE").hosts
+    return site, host
+
+
+def submit(site, *jobs):
+    for job in jobs:
+        job.advance(JobState.ASSIGNED, 0.0, site="SITE")
+        site.submit(job)
 
 
 class TestSlotModel:
     def test_execution_duration(self, env):
-        host = Host(env, "h", speed=1e9, cores=4)
-        model = ComputeModel(env)
-        done = model.execute(host, work=4e9, cores=2)
-        env.run(until=done)
+        site, host = build_site(env, cores=4)
+        assert host.duration_for(4e9, cores=2) == pytest.approx(2.0)
+        assert host.duration_for(4e9, cores=2, efficiency=0.5) == pytest.approx(4.0)
+        job = Job(work=4e9, cores=2)
+        submit(site, job)
+        env.run()
+        assert job.walltime == pytest.approx(2.0)
         assert env.now == pytest.approx(2.0)
-        execution = done.value
-        assert execution.duration == pytest.approx(2.0)
-        assert execution.host is host
 
     def test_overhead_adds_to_duration(self, env):
-        host = Host(env, "h", speed=1e9, cores=1)
-        model = ComputeModel(env)
-        done = model.execute(host, work=1e9, overhead=5.0)
-        env.run(until=done)
-        assert env.now == pytest.approx(6.0)
+        # The overhead is wall-clock seconds: more cores do not shrink it.
+        site, _host = build_site(env, cores=2, overhead=5.0)
+        job = Job(work=2e9, cores=2)
+        submit(site, job)
+        env.run()
+        assert job.walltime == pytest.approx(6.0)
 
     def test_executions_queue_for_cores(self, env):
-        host = Host(env, "h", speed=1e9, cores=1)
-        model = ComputeModel(env)
-        d1 = model.execute(host, work=1e9)
-        d2 = model.execute(host, work=1e9)
-        env.run(until=d1 & d2)
+        site, _host = build_site(env, cores=4)
+        jobs = [Job(work=2e9, cores=2) for _ in range(3)]
+        submit(site, *jobs)
+        env.run()
+        # Two 2-core jobs fill the host; the third starts when one ends.
+        assert [job.start_time for job in jobs] == pytest.approx([0.0, 0.0, 1.0])
         assert env.now == pytest.approx(2.0)
 
     def test_parallel_when_cores_allow(self, env):
-        host = Host(env, "h", speed=1e9, cores=2)
-        model = ComputeModel(env)
-        d1 = model.execute(host, work=1e9)
-        d2 = model.execute(host, work=1e9)
-        env.run(until=d1 & d2)
-        assert env.now == pytest.approx(1.0)
+        site, _host = build_site(env, cores=2)
+        jobs = [Job(work=1e9) for _ in range(2)]
+        submit(site, *jobs)
+        env.run()
+        assert [job.end_time for job in jobs] == pytest.approx([1.0, 1.0])
 
     def test_negative_work_rejected(self, env):
-        host = Host(env, "h", speed=1e9)
-        model = ComputeModel(env)
+        host = Host(env, "h", speed=1e9, cores=2)
         with pytest.raises(PlatformError):
-            model.execute(host, work=-1)
+            host.duration_for(-1)
+        with pytest.raises(PlatformError):
+            host.duration_for(1, cores=3)
 
     def test_negative_overhead_rejected(self, env):
-        host = Host(env, "h", speed=1e9)
-        model = ComputeModel(env)
-        with pytest.raises(PlatformError):
-            model.execute(host, work=1, overhead=-1)
+        with pytest.raises(ConfigurationError):
+            build_site(env, cores=1, overhead=-1.0)
 
     def test_completed_list_and_metadata(self, env):
-        host = Host(env, "h", speed=1e9, cores=1)
-        model = ComputeModel(env)
-        done = model.execute(host, work=1e9, metadata={"job_id": 7})
-        env.run(until=done)
-        assert len(model.completed) == 1
-        assert model.completed[0].metadata == {"job_id": 7}
+        site, _host = build_site(env, cores=1)
+        long = Job(work=2e9, job_id=1, attributes={"task": "long"})
+        short = Job(work=1e9, job_id=2, attributes={"task": "short"})
+        submit(site, long, short)
+        env.run()
+        assert [job.job_id for job in site.completed] == [1, 2]
+        assert [job.attributes for job in site.completed] == [{"task": "long"}, {"task": "short"}]
 
     def test_host_busy_accounting(self, env):
-        host = Host(env, "h", speed=1e9, cores=2)
-        model = ComputeModel(env)
-        done = model.execute(host, work=2e9, cores=2)
-        env.run(until=done)
+        site, host = build_site(env, cores=2)
+        submit(site, Job(work=2e9, cores=2))
+        env.run()
         assert host.busy_core_seconds == pytest.approx(2.0)
+        assert host.utilisation(horizon=env.now) == pytest.approx(1.0)
 
+    def test_failed_execution_books_only_the_held_fraction(self, env):
+        class FailHalfway:
+            def failure_fraction(self, job, site):
+                return 0.5
 
-class TestFairShareModel:
-    def test_single_shared_execution_uses_full_speed(self, env):
-        host = Host(env, "h", speed=1e9, cores=4)  # total 4e9 ops/s
-        model = ComputeModel(env)
-        done = model.execute_shared(host, work=4e9)
-        env.run(until=done)
+        site, host = build_site(env, cores=2, failure_model=FailHalfway())
+        job = Job(work=4e9, cores=2)
+        submit(site, job)
+        env.run()
+        assert job.state is JobState.FAILED
         assert env.now == pytest.approx(1.0)
-
-    def test_two_shared_executions_halve_the_rate(self, env):
-        host = Host(env, "h", speed=1e9, cores=2)  # total 2e9 ops/s
-        model = ComputeModel(env)
-        d1 = model.execute_shared(host, work=2e9)
-        d2 = model.execute_shared(host, work=2e9)
-        env.run(until=d1 & d2)
-        assert env.now == pytest.approx(2.0)
-
-    def test_departure_speeds_up_remaining_work(self, env):
-        host = Host(env, "h", speed=1e9, cores=1)
-        model = ComputeModel(env)
-        short = model.execute_shared(host, work=0.5e9)
-        long = model.execute_shared(host, work=1.5e9)
-        env.run(until=short)
-        short_time = env.now
-        env.run(until=long)
-        long_time = env.now
-        # Shared at 0.5e9 ops/s until the short one finishes at t=1;
-        # the long one then has 1e9 left at full rate -> finishes at t=2.
-        assert short_time == pytest.approx(1.0)
-        assert long_time == pytest.approx(2.0)
-
-    def test_shared_negative_work_rejected(self, env):
-        host = Host(env, "h", speed=1e9)
-        model = ComputeModel(env)
-        with pytest.raises(PlatformError):
-            model.execute_shared(host, work=-5)
+        assert host.busy_core_seconds == pytest.approx(2.0)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.des import Environment
 from repro.platform import Host, Link, NetZone, Storage
-from repro.platform.compute import ComputeModel
 from repro.utils.errors import PlatformError
 from repro.utils.rng import RandomSource
 
@@ -199,12 +198,19 @@ class TestZoneCountersMatchHostScan:
         assert zone.total_cores == sum(h.cores for h in hosts)
         assert zone.max_host_cores == max((h.cores for h in hosts), default=0)
 
+    @staticmethod
+    def hold(env, host, seconds, cores):
+        """A process that holds ``cores`` of ``host`` for ``seconds``, then frees them."""
+        request = host.core_pool.request(amount=cores)
+        yield request
+        yield env.timeout(seconds)
+        host.core_pool.release(request)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_random_request_release_cancel(self, seed):
         env = Environment()
         rng = RandomSource(seed).generator("zone-counter-fuzz")
         zone = NetZone("SITE")
-        compute = ComputeModel(env)
         self.check(zone)
         hosts = [zone.add_host(Host(env, f"wn{i}", speed=1e9, cores=int(rng.integers(1, 9))))
                  for i in range(3)]
@@ -226,8 +232,8 @@ class TestZoneCountersMatchHostScan:
                 _owner, request = requests.pop(int(rng.integers(0, len(requests))))
                 request.cancel()  # releases if granted, withdraws if queued
             elif action == 4:
-                compute.execute(host, work=float(rng.integers(1, 5)) * 1e9,
-                                cores=int(rng.integers(1, host.cores + 1)))
+                env.process(self.hold(env, host, seconds=float(rng.integers(1, 5)),
+                                      cores=int(rng.integers(1, host.cores + 1))))
             elif step % 25 == 0:
                 # A late host, some of its cores already granted before it joins.
                 late = Host(env, f"late{step}", speed=1e9, cores=int(rng.integers(1, 17)))

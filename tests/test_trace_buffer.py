@@ -86,7 +86,7 @@ class TestBatchedCollector:
             def write_batch(self, rows):
                 batches.append(list(rows))
 
-            def write_snapshot(self, snapshot):
+            def write_snapshots(self, rows):
                 pass
 
         collector = MonitoringCollector(batch_size=10)
@@ -96,29 +96,27 @@ class TestBatchedCollector:
         collector.flush()
         assert [len(b) for b in batches] == [10, 10, 5]
 
-    def test_legacy_write_event_sinks_still_work(self):
-        seen = []
-
-        class LegacySink:
-            def write_event(self, record):
-                seen.append(record)
-
-            def write_snapshot(self, snapshot):
-                pass
-
-        collector = MonitoringCollector(batch_size=4)
-        collector.attach(LegacySink())
-        fill(collector, 6)
-        collector.flush()
-        assert len(seen) == 6
-        assert all(isinstance(record, EventRecord) for record in seen)
+    @pytest.mark.parametrize("missing", ["write_batch", "write_snapshots"])
+    def test_attach_rejects_a_sink_without_a_batch_method(self, missing):
+        methods = {
+            "write_batch": lambda self, rows: None,
+            "write_snapshots": lambda self, rows: None,
+            "write_event": lambda self, record: None,
+            "write_snapshot": lambda self, snapshot: None,
+        }
+        del methods[missing]
+        sink = type("PerRecordSink", (), methods)()
+        collector = MonitoringCollector()
+        with pytest.raises(MonitoringError, match=f"PerRecordSink has no {missing}"):
+            collector.attach(sink)
+        assert collector._sinks == []
 
     def test_unretained_buffer_is_dropped_after_flush(self):
         class NullSink:
             def write_batch(self, rows):
                 pass
 
-            def write_snapshot(self, snapshot):
+            def write_snapshots(self, rows):
                 pass
 
         collector = MonitoringCollector(keep_in_memory=False, batch_size=8)
