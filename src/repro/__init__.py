@@ -5,8 +5,8 @@ workshop): a simulator for WLCG-scale computing grids built, in the original,
 on top of SimGrid.  Here every layer is implemented in pure Python:
 
 * :mod:`repro.des` -- the discrete-event kernel (SimGrid substitute).
-* :mod:`repro.platform` -- hosts, links, zones, routing, flow-level network
-  sharing and CPU models.
+* :mod:`repro.platform` -- hosts, links, zones, routing and flow-level
+  network sharing.
 * :mod:`repro.config` -- the three JSON inputs (infrastructure, topology,
   execution parameters).
 * :mod:`repro.workload` -- the standardized job structure, traces and
@@ -43,42 +43,83 @@ Quickstart
 100
 """
 
-from repro.config import (
-    ExecutionConfig,
-    InfrastructureConfig,
-    LinkConfig,
-    MonitoringConfig,
-    OutputConfig,
-    SiteConfig,
-    TopologyConfig,
-    load_simulation_inputs,
-)
-from repro.config.generators import generate_grid, generate_sites
-from repro.faults import FaultInjector, JobFailureModel, OutageWindow, SiteOutageModel
-from repro.core import (
-    DataManager,
-    JobManager,
-    MainServer,
-    SessionProgress,
-    SimulationMetrics,
-    SimulationResult,
-    SimulationSession,
-    Simulator,
-    SiteRuntime,
-    compute_metrics,
-)
-from repro.monitoring import Dashboard, MonitoringCollector, SQLiteStore
-from repro.plugins import AllocationPolicy, ResourceView, available_policies, create_policy
-from repro.workload import Job, JobState, SyntheticWorkloadGenerator, WorkloadSpec, load_trace, save_trace
-from repro.experiments import RunResult, RunSpec, SweepResult, SweepRunner, scenario_grid
-from repro.scenarios import (
-    ScenarioOutcome,
-    ScenarioPack,
-    available_scenario_packs,
-    get_scenario_pack,
-    load_scenario_pack,
-    register_scenario_pack,
-    run_scenario_pack,
+import importlib
+
+#: Where each public name lives.  Nothing is imported until a name is first
+#: used (PEP 562), so ``import repro.des`` pays for the kernel alone.
+_EXPORTS = {
+    "repro.config": (
+        "ExecutionConfig",
+        "InfrastructureConfig",
+        "LinkConfig",
+        "MonitoringConfig",
+        "OutputConfig",
+        "SiteConfig",
+        "TopologyConfig",
+        "load_simulation_inputs",
+    ),
+    "repro.config.generators": ("generate_grid", "generate_sites"),
+    "repro.faults": ("FaultInjector", "JobFailureModel", "OutageWindow", "SiteOutageModel"),
+    "repro.core": (
+        "DataManager",
+        "JobManager",
+        "MainServer",
+        "SessionProgress",
+        "SimulationMetrics",
+        "SimulationResult",
+        "SimulationSession",
+        "Simulator",
+        "SiteRuntime",
+        "compute_metrics",
+    ),
+    "repro.monitoring": ("Dashboard", "MonitoringCollector", "SQLiteStore"),
+    "repro.plugins": ("AllocationPolicy", "ResourceView", "available_policies", "create_policy"),
+    "repro.workload": (
+        "Job",
+        "JobState",
+        "SyntheticWorkloadGenerator",
+        "WorkloadSpec",
+        "load_trace",
+        "save_trace",
+    ),
+    "repro.experiments": ("RunResult", "RunSpec", "SweepResult", "SweepRunner", "scenario_grid"),
+    "repro.scenarios": (
+        "ScenarioOutcome",
+        "ScenarioPack",
+        "available_scenario_packs",
+        "get_scenario_pack",
+        "load_scenario_pack",
+        "register_scenario_pack",
+        "run_scenario_pack",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+#: Subpackages reachable as attributes (``repro.core``) without an import.
+_SUBPACKAGES = frozenset(
+    {
+        "analysis",
+        "atlas",
+        "calibration",
+        "config",
+        "conformance",
+        "core",
+        "data",
+        "des",
+        "experiments",
+        "faults",
+        "lint",
+        "mldata",
+        "monitoring",
+        "platform",
+        "plugins",
+        "scenarios",
+        "schema",
+        "service",
+        "state",
+        "utils",
+        "workload",
+    }
 )
 
 __version__ = "1.0.0"
@@ -143,3 +184,19 @@ __all__ = [
     "register_scenario_pack",
     "run_scenario_pack",
 ]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(module), name)
+    elif name in _SUBPACKAGES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF) | _SUBPACKAGES)

@@ -13,7 +13,7 @@ This package reproduces that machinery:
 * :mod:`~repro.calibration.objective` -- error metrics
   (:func:`relative_mae`, per-category walltime errors, geometric means).
 * :mod:`~repro.calibration.search` -- the four optimizers, implemented from
-  scratch on numpy/scipy.
+  scratch on numpy and the standard library.
 * :class:`~repro.calibration.calibrator.SiteCalibrator` /
   :class:`~repro.calibration.calibrator.GridCalibrator` -- the site-specific
   calibration loops replaying historical jobs against candidate parameters.

@@ -3,7 +3,7 @@
 The paper evaluates four calibration approaches -- brute-force search, random
 sampling, Bayesian optimisation and CMA-ES -- and finds that, within the
 evaluation budget they allow per site, random search achieves the lowest
-average error.  All four are implemented here from scratch (numpy/scipy only)
+average error.  All four are implemented here from scratch (numpy only)
 behind one interface: ``optimizer.minimize(objective, bounds, budget)``.
 """
 

@@ -4,16 +4,15 @@ A compact, dependency-free BO implementation: a Gaussian process with a
 squared-exponential kernel models the objective over the (normalised) search
 box, and the next evaluation point maximises the Expected Improvement
 acquisition function over a random candidate set.  This is the textbook BO
-recipe the paper refers to; it is implemented with numpy/scipy only.
+recipe the paper refers to; it needs numpy and the standard library only.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
 
 from repro.calibration.search.base import Optimizer, OptimizationResult, register_optimizer
 from repro.utils.rng import spawn_rng
@@ -70,14 +69,19 @@ class BayesianOptimizer(Optimizer):
         K = _sq_exp_kernel(X, X, self.length_scale, self.variance)
         K[np.diag_indices_from(K)] += self.noise
         try:
-            factor = cho_factor(K, lower=True)
+            L = np.linalg.cholesky(K)
         except np.linalg.LinAlgError:
             K[np.diag_indices_from(K)] += 1e-6
-            factor = cho_factor(K, lower=True)
+            L = np.linalg.cholesky(K)
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            """``K^-1 b`` through the two triangular factors ``K = L L^T``."""
+            return np.linalg.solve(L.T, np.linalg.solve(L, b))
+
         k_star = _sq_exp_kernel(X, candidates, self.length_scale, self.variance)
-        alpha = cho_solve(factor, y_norm)
+        alpha = solve(y_norm)
         mean = k_star.T @ alpha
-        v = cho_solve(factor, k_star)
+        v = solve(k_star)
         var = self.variance - np.sum(k_star * v, axis=0)
         var = np.maximum(var, 1e-12)
         return mean * y_std + y_mean, np.sqrt(var) * y_std
@@ -87,7 +91,9 @@ class BayesianOptimizer(Optimizer):
         """EI for minimisation."""
         improvement = best - mean
         z = improvement / std
-        return improvement * norm.cdf(z) + std * norm.pdf(z)
+        cdf = np.array([0.5 * math.erfc(-value / math.sqrt(2.0)) for value in z])
+        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return improvement * cdf + std * pdf
 
     # -- main loop ------------------------------------------------------------------
     def minimize(self, objective, bounds, budget: int) -> OptimizationResult:

@@ -10,14 +10,21 @@ endpoint zones' local links, plus the total route latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.platform.link import Link
 from repro.utils.errors import PlatformError
 
 __all__ = ["Route", "RoutingTable"]
+
+#: Routing weight name -> cost of crossing one link.
+_WEIGHTS: Dict[str, Callable[[Link], float]] = {
+    "latency": lambda link: link.latency,
+    "hops": lambda link: 1.0,
+    "inverse_bandwidth": lambda link: 1.0 / link.bandwidth,
+}
 
 
 @dataclass(frozen=True)
@@ -60,10 +67,11 @@ class RoutingTable:
     """
 
     def __init__(self, weight: str = "latency") -> None:
-        if weight not in ("latency", "hops", "inverse_bandwidth"):
+        if weight not in _WEIGHTS:
             raise PlatformError(f"unknown routing weight {weight!r}")
         self.weight = weight
-        self._graph = nx.Graph()
+        #: zone -> {neighbour zone -> link}, both in insertion order.
+        self._adjacency: Dict[str, Dict[str, Link]] = {}
         self._local_links: Dict[str, Optional[Link]] = {}
         self._cache: Dict[Tuple[str, str], Route] = {}
 
@@ -72,7 +80,7 @@ class RoutingTable:
         """Register a zone node (optionally with its intra-zone link)."""
         if zone_name in self._local_links:
             raise PlatformError(f"zone {zone_name!r} already registered in routing table")
-        self._graph.add_node(zone_name)
+        self._adjacency[zone_name] = {}
         self._local_links[zone_name] = local_link
 
     def connect(self, zone_a: str, zone_b: str, link: Link) -> None:
@@ -82,14 +90,10 @@ class RoutingTable:
                 raise PlatformError(f"cannot connect unknown zone {zone!r}")
         if zone_a == zone_b:
             raise PlatformError(f"cannot connect zone {zone_a!r} to itself")
-        self._graph.add_edge(
-            zone_a,
-            zone_b,
-            link=link,
-            latency=link.latency,
-            hops=1.0,
-            inverse_bandwidth=1.0 / link.bandwidth,
-        )
+        # Re-connecting a pair replaces its link in place: the neighbour keeps
+        # its position, and with it the tie-breaking order of routes.
+        self._adjacency[zone_a][zone_b] = link
+        self._adjacency[zone_b][zone_a] = link
         self._cache.clear()
 
     @property
@@ -101,7 +105,7 @@ class RoutingTable:
         """Zones directly connected to ``zone_name``."""
         if zone_name not in self._local_links:
             raise PlatformError(f"unknown zone {zone_name!r}")
-        return list(self._graph.neighbors(zone_name))
+        return list(self._adjacency[zone_name])
 
     # -- lookup ---------------------------------------------------------------
     def route(self, source: str, destination: str) -> Route:
@@ -124,15 +128,12 @@ class RoutingTable:
             if local is not None:
                 links.append(local)
         else:
-            try:
-                path = nx.shortest_path(self._graph, source, destination, weight=self.weight)
-            except nx.NetworkXNoPath:
-                raise PlatformError(f"no route between {source!r} and {destination!r}") from None
+            path = self._shortest_path(source, destination)
             src_local = self._local_links[source]
             if src_local is not None:
                 links.append(src_local)
             for hop_a, hop_b in zip(path[:-1], path[1:]):
-                links.append(self._graph.edges[hop_a, hop_b]["link"])
+                links.append(self._adjacency[hop_a][hop_b])
             dst_local = self._local_links[destination]
             if dst_local is not None:
                 links.append(dst_local)
@@ -140,6 +141,60 @@ class RoutingTable:
         route = Route(source=source, destination=destination, links=tuple(links))
         self._cache[key] = route
         return route
+
+    def _shortest_path(self, source: str, target: str) -> List[str]:
+        """Zones along a least-weight path from ``source`` to ``target``.
+
+        Bidirectional Dijkstra: a search from each end, alternating one
+        popped zone at a time and scanning neighbours in insertion order,
+        until a zone is settled from both sides.  Among equal-cost paths
+        that order picks the same one on every run, and
+        ``tests/test_routing_reference.py`` pins which one.
+        """
+        cost = _WEIGHTS[self.weight]
+        adjacency = self._adjacency
+        # Index 0 is the search from ``source``, index 1 the one from ``target``.
+        settled: Tuple[Dict[str, float], ...] = ({}, {})
+        seen: Tuple[Dict[str, float], ...] = ({source: 0}, {target: 0})
+        preds: Tuple[Dict[str, Optional[str]], ...] = ({source: None}, {target: None})
+        tiebreak = count()
+        fringe = ([(0, next(tiebreak), source)], [(0, next(tiebreak), target)])
+        best: Optional[float] = None
+        meet = source
+        direction = 1
+        while fringe[0] and fringe[1]:
+            direction = 1 - direction
+            dist, _, zone = heappop(fringe[direction])
+            done = settled[direction]
+            if zone in done:
+                continue
+            done[zone] = dist
+            if zone in settled[1 - direction]:
+                path: List[str] = []
+                hop: Optional[str] = meet
+                while hop is not None:
+                    path.append(hop)
+                    hop = preds[0][hop]
+                path.reverse()
+                hop = preds[1][meet]
+                while hop is not None:
+                    path.append(hop)
+                    hop = preds[1][hop]
+                return path
+            reached, other_reached = seen[direction], seen[1 - direction]
+            for neighbour, link in adjacency[zone].items():
+                if neighbour in done:
+                    continue
+                length = dist + cost(link)
+                if neighbour not in reached or length < reached[neighbour]:
+                    reached[neighbour] = length
+                    heappush(fringe[direction], (length, next(tiebreak), neighbour))
+                    preds[direction][neighbour] = zone
+                    if neighbour in other_reached:
+                        total = length + other_reached[neighbour]
+                        if best is None or best > total:
+                            best, meet = total, neighbour
+        raise PlatformError(f"no route between {source!r} and {target!r}")
 
     def has_route(self, source: str, destination: str) -> bool:
         """True when a path exists between the two zones."""
@@ -151,6 +206,6 @@ class RoutingTable:
 
     def __repr__(self) -> str:
         return (
-            f"<RoutingTable zones={self._graph.number_of_nodes()} "
-            f"links={self._graph.number_of_edges()} weight={self.weight}>"
+            f"<RoutingTable zones={len(self._adjacency)} "
+            f"links={sum(map(len, self._adjacency.values())) // 2} weight={self.weight}>"
         )

@@ -49,6 +49,11 @@ def worker_main(worker_id: int, cmd_conn, event_conn, store_root: str) -> None:
     # ignore SIGINT here exactly like multiprocessing.Pool workers do.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     store = ArtifactStore(store_root)
+    # "Online" means ready to run: import the session path now, so the first
+    # session after a boot or a respawn does not pay for it.
+    import repro.scenarios.runner  # noqa: F401
+    import repro.state  # noqa: F401
+
     _send(event_conn, {"type": "worker-online", "worker": worker_id, "pid": os.getpid()})
     while True:
         try:

@@ -9,6 +9,8 @@ requirements.
 * A module imported only inside a function, or inside a ``try`` that
   catches ``ImportError``, is loaded on demand, so an optional extra is
   enough.
+* Conversely, every runtime dependency is imported at module level
+  somewhere, so a requirement cannot outlive its last import.
 
 The standard library (``sys.stdlib_module_names``), ``repro`` itself and
 imports guarded by ``if TYPE_CHECKING:`` are ignored.
@@ -108,7 +110,7 @@ def _where(paths: Set[Path]) -> str:
 def test_scan_tells_module_level_from_on_demand_imports():
     source = (
         "import numpy.linalg\n"
-        "from scipy import stats\n"
+        "from numba import jit\n"
         "from . import sibling\n"
         "if TYPE_CHECKING:\n"
         "    import pandas\n"
@@ -117,14 +119,14 @@ def test_scan_tells_module_level_from_on_demand_imports():
         "except ImportError:\n"
         "    yaml = None\n"
         "class Model:\n"
-        "    import networkx\n"
+        "    import pyarrow\n"
         "    def fit(self):\n"
         "        import sklearn\n"
     )
     assert sorted(_imports(ast.parse(source))) == [
-        ("networkx", False),
+        ("numba", False),
         ("numpy", False),
-        ("scipy", False),
+        ("pyarrow", False),
         ("sklearn", True),
         ("yaml", True),
     ]
@@ -141,6 +143,16 @@ def test_module_level_imports_are_runtime_dependencies():
     }
     assert not missing, (
         f"imported at module level but not in [project].dependencies: {missing}"
+    )
+
+
+def test_runtime_dependencies_are_imported_at_module_level():
+    runtime, _extras = _declared()
+    eager, _lazy = _third_party_imports()
+    imported = {_distribution(module) for module in eager}
+    unused = sorted(runtime - imported)
+    assert not unused, (
+        f"in [project].dependencies but imported at module level nowhere in src/repro: {unused}"
     )
 
 

@@ -9,6 +9,8 @@ A static reachability audit, read with ``ast``.  Every top-level ``def`` /
 * ``examples/``, ``benchmarks/`` or ``scripts/`` refer to it;
 * it subclasses a registry base: plugins, lint rules and optimizers are
   found through their family, not by name;
+* it is a module-level ``__getattr__`` or ``__dir__`` (PEP 562): the
+  interpreter calls those on attribute lookup and ``dir()``;
 * it is a key of :data:`LIBRARY_ONLY`, the published names kept on purpose
   although only the tests call them.
 
@@ -32,6 +34,9 @@ CALLER_DIRS = ("examples", "benchmarks", "scripts")
 REGISTRY_BASES = frozenset(
     {"AllocationPolicy", "EvictionPolicy", "ReplicationStrategy", "Optimizer", "Rule"}
 )
+
+#: Module-level functions the interpreter itself calls (PEP 562).
+MODULE_HOOKS = frozenset({"__getattr__", "__dir__"})
 
 #: ``"module:name"`` -> why it stays although no library code reaches it.
 LIBRARY_ONLY = {
@@ -97,6 +102,21 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _reached(node: ast.AST, package_refs: Counter, caller_refs: Counter) -> bool:
+    """Whether a top-level definition meets one of the module docstring's rules."""
+    name = node.name
+    bases = {
+        base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+        for base in getattr(node, "bases", ())
+    }
+    return bool(
+        package_refs[name] > _references(node)[name]
+        or caller_refs[name]
+        or bases & REGISTRY_BASES
+        or (isinstance(node, ast.FunctionDef) and name in MODULE_HOOKS)
+    )
+
+
 def _audit() -> Tuple[Dict[str, ast.AST], Dict[str, bool]]:
     """(``"module:name"`` -> definition, ``"module:name"`` -> reached)."""
     definitions: Dict[str, ast.AST] = {}
@@ -113,18 +133,9 @@ def _audit() -> Tuple[Dict[str, ast.AST], Dict[str, bool]]:
         for path in sorted((ROOT / directory).rglob("*.py")):
             caller_refs.update(_references(_parse(path)))
 
-    reached = {}
-    for key, node in definitions.items():
-        name = node.name
-        bases = {
-            base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
-            for base in getattr(node, "bases", ())
-        }
-        reached[key] = bool(
-            package_refs[name] > _references(node)[name]
-            or caller_refs[name]
-            or bases & REGISTRY_BASES
-        )
+    reached = {
+        key: _reached(node, package_refs, caller_refs) for key, node in definitions.items()
+    }
     return definitions, reached
 
 
@@ -141,6 +152,22 @@ def test_references_count_names_attributes_and_from_imports():
     # A self-call is inside the definition, so it does not reach the function.
     recurse = tree.body[2]
     assert _references(recurse)["recurse"] == refs["recurse"]
+    assert not _reached(recurse, refs, Counter())
+    # PEP 562 hooks are reached by the interpreter although nothing names them.
+    lazy = ast.parse(
+        "def __getattr__(name):\n"
+        "    raise AttributeError(name)\n"
+        "def __dir__():\n"
+        "    return []\n"
+        "class Proxy:\n"
+        "    pass\n"
+    )
+    lazy_refs = _references(lazy)
+    getattr_hook, dir_hook, proxy = lazy.body
+    assert (lazy_refs["__getattr__"], lazy_refs["__dir__"]) == (0, 0)
+    assert _reached(getattr_hook, lazy_refs, Counter())
+    assert _reached(dir_hook, lazy_refs, Counter())
+    assert not _reached(proxy, lazy_refs, Counter())
 
 
 def test_every_top_level_definition_is_reached():
