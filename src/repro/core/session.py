@@ -783,7 +783,7 @@ class SimulationSession:
             "site_names": sorted(sim.sites),
             "simulator": sim._config_payload(),
             "has_build_hooks": bool(sim._build_hooks),
-            "keep_in_memory": bool(collector.keep_in_memory) if collector else True,
+            "keep_in_memory": bool(collector.keep_in_memory) if collector is not None else True,
             "extra": dict(extra) if extra else {},
         }
         return encode_checkpoint(payload)
@@ -835,7 +835,12 @@ class SimulationSession:
                 f"sites {expected_sites}"
             )
         waves = payload["waves"]
-        session = simulator.session(job.copy_for_replay() for job in waves[0])
+        # Resuming the original timeline continues its streamed output files.
+        simulator._continue_outputs = branch is None
+        try:
+            session = simulator.session(job.copy_for_replay() for job in waves[0])
+        finally:
+            simulator._continue_outputs = False
         # Re-seat the run-scoped allocator so replayed retries mint the same
         # ids the original run did (older blobs may predate the workload-
         # seeded base the rebuilt simulator derived on its own).

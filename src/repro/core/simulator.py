@@ -37,10 +37,9 @@ from repro.core.metrics import SimulationMetrics
 from repro.core.server import MainServer
 from repro.core.session import SimulationSession
 from repro.core.site import SiteRuntime
-from repro.des import Environment
+from repro.des import Environment, Event
 from repro.monitoring.collector import MonitoringCollector
 from repro.monitoring.csv_export import CSVSink
-from repro.monitoring.events import SiteSnapshot, snapshot_row
 from repro.monitoring.sqlite_store import SQLiteStore
 from repro.platform.builder import build_platform
 from repro.platform.platform import Platform
@@ -188,7 +187,11 @@ class Simulator:
         self.fault_injector = None
         self._live_sinks: List = []
         self._active_session: Optional[SimulationSession] = None
-        self._snapshot_process = None
+        #: Whether a snapshot-tick chain is on the calendar (or about to start).
+        self._ticking = False
+        #: Set by a checkpoint restore for the build it triggers: streamed
+        #: outputs continue the files the original session wrote.
+        self._continue_outputs = False
         #: Scoped id source for runtime-created jobs (retry attempts); built
         #: per run, seeded from the workload's own ids, so run outputs never
         #: depend on the process-global counter's history.
@@ -230,7 +233,9 @@ class Simulator:
         if not monitoring.keep_in_memory:
             # Without retention the post-run export below would have nothing
             # to read, so the configured outputs stream live instead.
-            self._live_sinks = self._open_sinks(self.execution.output.sqlite_path)
+            self._live_sinks = self._open_sinks(
+                self.execution.output.sqlite_path, append=self._continue_outputs
+            )
             for sink in self._live_sinks:
                 self.collector.attach(sink)
         self.data_manager = (
@@ -273,46 +278,65 @@ class Simulator:
             self.fault_injector = FaultInjector(
                 self.env, self.sites, self.outages, logger=self.logger
             )
-        if self.execution.monitoring.snapshot_interval > 0:
-            interval = self.execution.monitoring.snapshot_interval
-            self._snapshot_process = self.env.process(self._snapshot_loop(interval))
-
-            def restart_snapshots() -> None:
-                # The loop exits at its first wake after completion; when a
-                # later submit() re-arms the run, a fresh loop must cover the
-                # new wave (but never a second one while the old still runs).
-                if self._snapshot_process.triggered:
-                    self._snapshot_process = self.env.process(self._snapshot_loop(interval))
-
-            self.server.rearm_listeners.append(restart_snapshots)
+        self._ticking = False
+        if monitoring.snapshot_interval > 0:
+            self._start_ticks()
+            self.server.rearm_listeners.append(self._restart_ticks)
         for hook in self._build_hooks:
             hook(self)
+        self.collector.set_tick_sites(
+            [(site.name, site.total_cores) for site in self.sites.values()]
+        )
 
-    def _snapshot_loop(self, interval: float):
-        """Periodic site-level snapshot recording (dashboard / Table 1 context)."""
-        while not self.server.all_done.triggered:
-            yield self.env.timeout(interval)
-            self._record_snapshots()
+    # -- snapshot ticks -------------------------------------------------------------
+    # A tick is a timeout callback that copies five counters per site into the
+    # collector.  It is filed exactly where a generator loop's ``yield
+    # env.timeout(interval)`` would be: the chain starts from an urgent event
+    # (as a process start does), and a job transition at a tick's time is seen
+    # by the tick only if its event sits ahead of the tick in that bucket.
+    def _start_ticks(self) -> None:
+        self._ticking = True
+        start = Event(self.env)
+        start._ok = True
+        start._value = None
+        start.callbacks.append(self._first_tick)
+        self.env.schedule(start, priority=0)
 
-    def _record_snapshots(self) -> None:
-        now = self.env.now
-        pending = len(self.server.pending)
-        self.collector.record_snapshots(
+    def _restart_ticks(self) -> None:
+        """``rearm_listeners`` entry: a wave submitted after completion gets
+        ticks again, unless the last chain is still running."""
+        if not self._ticking:
+            self._start_ticks()
+
+    def _first_tick(self, _event: Event) -> None:
+        if self.server.all_done.triggered:
+            self._ticking = False
+        else:
+            interval = self.execution.monitoring.snapshot_interval
+            self.env.timeout(interval).callbacks.append(self._tick)
+
+    def _tick(self, _event: Event) -> None:
+        """Record one snapshot tick; the chain ends at the first tick after completion."""
+        server = self.server
+        self.collector.record_tick(
+            self.env.now,
+            len(server.pending),
             [
-                SiteSnapshot(
-                    time=now,
-                    site=site.name,
-                    total_cores=site.total_cores,
-                    available_cores=site.available_cores,
-                    running_jobs=site.running_jobs,
-                    queued_jobs=site.queued_jobs,
-                    pending_jobs=pending,
-                    finished_jobs=site.finished_jobs,
-                    failed_jobs=site.failed_jobs,
+                (
+                    site.zone.available_cores,
+                    site.running_jobs,
+                    len(site.queue),
+                    site.finished_jobs,
+                    site.failed_jobs,
                 )
                 for site in self.sites.values()
-            ]
+            ],
         )
+        if server.all_done.triggered:
+            self._ticking = False
+        else:
+            interval = self.execution.monitoring.snapshot_interval
+            self.env.timeout(interval).callbacks.append(self._tick)
 
     # -- checkpoint support -----------------------------------------------------
     def clone(self) -> "Simulator":
@@ -455,13 +479,17 @@ class Simulator:
         self._live_sinks = []
 
     # -- output layer ---------------------------------------------------------------
-    def _open_sinks(self, sqlite_path: Optional[str]) -> List:
-        """The configured output sinks, the SQLite one writing ``sqlite_path``."""
+    def _open_sinks(self, sqlite_path: Optional[str], append: bool = False) -> List:
+        """The configured output sinks, the SQLite one writing ``sqlite_path``.
+
+        ``append`` continues the CSV streams instead of replacing them (a
+        database is always opened in place).
+        """
         sinks: List = []
         if sqlite_path:
             sinks.append(SQLiteStore(sqlite_path))
         if self.execution.output.csv_directory:
-            sinks.append(CSVSink(self.execution.output.csv_directory))
+            sinks.append(CSVSink(self.execution.output.csv_directory, append=append))
         return sinks
 
     def _write_outputs(self, result: SimulationResult) -> None:
@@ -481,7 +509,7 @@ class Simulator:
             self._live_sinks = self._open_sinks(loading)
             if self._live_sinks:
                 events = collector.events.rows()
-                snapshots = list(map(snapshot_row, collector.snapshots))
+                snapshots = collector.snapshot_rows()
                 for sink in self._live_sinks:
                     sink.write_batch(events)
                     sink.write_snapshots(snapshots)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import IO, Iterable, List, Optional, Union
+from typing import Iterable, List, Union
 
 from repro.monitoring.events import (
     EVENT_FIELDS,
@@ -91,22 +91,25 @@ class CSVSink:
     post-run export of a retained run.  Both streamed files are created (with
     their header rows) at construction so a run that records nothing still
     leaves them behind; the sink must be :meth:`close`\\ d (or used as a
-    context manager) to flush.
+    context manager) to flush.  With ``append=True`` (a session restored
+    from a checkpoint continuing its original's files) existing streams are
+    appended to, and only a new or empty file gets a header.
     """
 
-    def __init__(self, directory: PathLike) -> None:
+    def __init__(self, directory: PathLike, append: bool = False) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._event_handle: Optional[IO[str]] = (self.directory / "events.csv").open(
-            "w", encoding="utf-8", newline=""
+        self._event_handle, self._event_writer = self._open("events.csv", EVENT_FIELDS, append)
+        self._snapshot_handle, self._snapshot_writer = self._open(
+            "snapshots.csv", SNAPSHOT_FIELDS, append
         )
-        self._event_writer = csv.writer(self._event_handle)
-        self._event_writer.writerow(EVENT_FIELDS)
-        self._snapshot_handle: Optional[IO[str]] = (self.directory / "snapshots.csv").open(
-            "w", encoding="utf-8", newline=""
-        )
-        self._snapshot_writer = csv.writer(self._snapshot_handle)
-        self._snapshot_writer.writerow(SNAPSHOT_FIELDS)
+
+    def _open(self, name: str, fields: List[str], append: bool) -> tuple:
+        handle = (self.directory / name).open("a" if append else "w", encoding="utf-8", newline="")
+        writer = csv.writer(handle)
+        if not handle.tell():
+            writer.writerow(fields)
+        return handle, writer
 
     # -- sink protocol -------------------------------------------------------
     def write_batch(self, rows: Iterable[tuple]) -> None:

@@ -27,6 +27,7 @@ import pytest
 from repro.config import ExecutionConfig
 from repro.config.execution import MonitoringConfig, OutputConfig
 from repro.config.generators import generate_grid
+from repro.core.session import SimulationSession
 from repro.core.simulator import Simulator
 from repro.faults import JobFailureModel, OutageWindow
 from repro.monitoring.events import EVENT_FIELDS, JOB_FIELDS, SNAPSHOT_FIELDS
@@ -155,6 +156,78 @@ class TestReusedOutputPath:
         result = run_pack(tmp_path, jobs=10)
         assert table_counts(tmp_path / "run.sqlite")["jobs"] == len(result.jobs)
         assert not (tmp_path / "run.sqlite.tmp").exists()
+
+
+def run_streamed(directory, every=None):
+    """The golden pack without its cutoff, streamed to its outputs.
+
+    With ``every``, the run pauses every ``every`` simulated seconds; at each
+    pause it is checkpointed, the session is finalized (its files end
+    there) and a session restored from the blob finishes the run.
+    """
+    infrastructure, topology, workload, execution = golden_inputs(
+        directory, 40, plugin="least_loaded", max_retries=2,
+        monitoring=MonitoringConfig(snapshot_interval=900.0, keep_in_memory=False),
+    )
+    simulator = Simulator(
+        infrastructure, topology, execution,
+        failure_model=JobFailureModel(default_rate=0.35, seed=7),
+    )
+    session = simulator.session(workload)
+    restores = 0
+    while every is not None:
+        session.advance_to_completion(pause_at=session.now + every)
+        if session.done:
+            break
+        blob = session.checkpoint()
+        session.finalize()
+        session = SimulationSession.restore(None, blob, monitoring="replay")
+        restores += 1
+    session.advance_to_completion().finalize()
+    return restores
+
+
+class TestStreamedRestore:
+    @pytest.mark.parametrize("every", [20_000.0, 150_000.0])
+    def test_restored_sessions_write_the_uninterrupted_runs_outputs(self, tmp_path, every):
+        """The CSV streams are continued, not truncated, by a restored
+        session, and ticks replayed with the sinks detached never reach
+        them: the four digests equal those of the run that never paused."""
+        (tmp_path / "one").mkdir()
+        (tmp_path / "chunked").mkdir()
+        run_streamed(tmp_path / "one")
+        assert run_streamed(tmp_path / "chunked", every) >= 3
+        assert digests(tmp_path / "chunked") == digests(tmp_path / "one")
+        counts = table_counts(tmp_path / "one" / "run.sqlite")
+        with (tmp_path / "chunked" / "csv" / "snapshots.csv").open() as handle:
+            assert len(list(csv.DictReader(handle))) == counts["snapshots"] > 2_000
+
+    def test_a_blob_taken_with_no_row_buffered_restores(self, tmp_path):
+        """A streamed collector whose buffer is empty is still a streamed
+        collector: the blob must say so, or the restore's verification
+        compares the streamed-away row counters and fails."""
+        infrastructure, topology, workload, execution = golden_inputs(
+            tmp_path, 20,
+            monitoring=MonitoringConfig(keep_in_memory=False, batch_size=1),
+        )
+        session = Simulator(infrastructure, topology, execution).session(workload)
+        session.advance_until(5_000.0)
+        assert len(session.simulator.collector) == 0
+        blob = session.checkpoint()
+        session.finalize()
+        restored = SimulationSession.restore(None, blob)
+        assert restored.now == 5_000.0
+        restored.advance_to_completion().finalize()
+
+    def test_a_fresh_run_still_replaces_a_restored_runs_csv_files(self, tmp_path):
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        used.mkdir()
+        fresh.mkdir()
+        run_streamed(used, 150_000.0)
+        run_pack(used, jobs=10, keep_in_memory=False)
+        run_pack(fresh, jobs=10, keep_in_memory=False)
+        for name in ("events.csv", "snapshots.csv", "jobs.csv"):
+            assert (used / "csv" / name).read_bytes() == (fresh / "csv" / name).read_bytes()
 
 
 class TestEmptyRun:
