@@ -14,13 +14,16 @@ each measured here at fixed sizes against ``timeout_churn`` microseconds per
 event from the same run, and each held under a ceiling committed in the
 baseline file: ``grid_end_to_end`` microseconds per job (the simulation;
 ``follow_trace``, monitoring off, so the policy reads one site), microseconds
-per job of a monitored 40-site run whose policy reads every site at every
-dispatch (what a dispatch costs), and microseconds per row of a synthetic
+per job of a monitored 40-site ``panda_dispatcher`` run (what a dispatch
+costs), and microseconds per row of a synthetic
 monitored run written to CSV and SQLite through the output sinks (the output
 layer).  The *service* is protected by a fourth: the wall time of one session
 through ``repro.service.workers._run_job`` (in-process, pipe stubs, a
 temporary artifact store) over the plain run of the same pack -- what serving
-a session costs on top of simulating it.  They run on every machine.
+a session costs on top of simulating it.  A fifth holds site-count scaling
+(paper Fig. 4(b)): microseconds per job of a 160-site ``panda_dispatcher`` run
+over those of a 10-site one, same jobs per site, both from the same run.  They
+run on every machine.
 
 Usage::
 
@@ -73,6 +76,12 @@ SERVED_PACK = {
                   "monitoring": {"enable_events": False, "snapshot_interval": 0.0}},
 }
 SERVED_CHECKPOINT_EVERY = 10_000.0
+#: Fixed shape of the site-scaling gate: ``(small grid, wide grid, jobs a site)``
+#: in the ``bench_fig4b`` set-up -- a ``generate_grid`` of 100-2 000-core sites
+#: (seed 0), synthetic two-hour jobs submitted per site, event rows on, no
+#: snapshots -- under ``panda_dispatcher``, whose dispatch reads the sites in
+#: backlog order.
+SITES_SHAPE = (10, 160, 100)
 #: A session takes milliseconds: each of the ``--repeat`` samples is the best
 #: of this many back-to-back runs.
 SERVED_RUNS = 5
@@ -83,7 +92,7 @@ RATIO_GATES = {
     "e2e_ratio": ("e2e_ratio_ceiling", "the stack got slower relative to the kernel"),
     "dispatch_ratio": (
         "dispatch_ratio_ceiling",
-        "a dispatch over every site got slower relative to the kernel",
+        "a dispatch over 40 sites got slower relative to the kernel",
     ),
     "output_ratio": (
         "output_ratio_ceiling",
@@ -92,6 +101,10 @@ RATIO_GATES = {
     "served_ratio": (
         "served_ratio_ceiling",
         "serving a session got slower relative to simulating it",
+    ),
+    "sites_ratio": (
+        "sites_ratio_ceiling",
+        "a job got dearer with the number of sites (a dispatch reads more of them)",
     ),
 }
 
@@ -133,8 +146,8 @@ def served_runs():
 def dispatch_run():
     """The inputs of the dispatch gate's run, and the call that runs them once.
 
-    The ``policy_stream`` shape: ``panda_dispatcher`` scores all 40 sites for
-    every job, event rows and 300 s snapshots are recorded, nothing is written.
+    The ``policy_stream`` shape: ``panda_dispatcher`` places every job over 40
+    sites, event rows and 300 s snapshots are recorded, nothing is written.
     """
     from repro.atlas import PandaWorkloadModel, wlcg_grid
     from repro.config.execution import ExecutionConfig, MonitoringConfig
@@ -158,6 +171,41 @@ def dispatch_run():
             raise RuntimeError(f"dispatch run finished {result.metrics.finished_jobs} jobs")
 
     return run
+
+
+def sites_runs():
+    """The site-scaling gate's two calls, the small and the wide grid of
+    ``SITES_SHAPE``: each simulates its jobs once (generated here, copied per run)."""
+    from repro.config.execution import ExecutionConfig, MonitoringConfig
+    from repro.config.generators import generate_grid
+    from repro.core.simulator import Simulator
+    from repro.workload.generator import SyntheticWorkloadGenerator, WorkloadSpec
+
+    *grids, per_site = SITES_SHAPE
+    execution = ExecutionConfig(
+        plugin="panda_dispatcher",
+        monitoring=MonitoringConfig(enable_events=True, snapshot_interval=0.0),
+    )
+
+    def grid_run(site_count: int):
+        infrastructure, topology = generate_grid(
+            site_count, seed=0, min_cores=100, max_cores=2000
+        )
+        spec = WorkloadSpec(walltime_median=2 * 3600.0)
+        jobs = SyntheticWorkloadGenerator(infrastructure, spec=spec, seed=0).generate_per_site(
+            per_site
+        )
+
+        def run() -> None:
+            result = Simulator(infrastructure, topology, execution).run(
+                [job.copy_for_replay() for job in jobs]
+            )
+            if result.metrics.finished_jobs != len(jobs):
+                raise RuntimeError(f"{site_count}-site run finished {result.metrics.finished_jobs} jobs")
+
+        return run
+
+    return [grid_run(site_count) for site_count in grids]
 
 
 def synthetic_run():
@@ -209,8 +257,9 @@ def write_outputs(collector, jobs, directory: Path) -> int:
 
 
 def measure_ratios(repeat: int) -> dict:
-    """Stack and dispatch us/job and output us/row over kernel us/event, best of
-    ``repeat`` interleaved runs."""
+    """Stack and dispatch us/job and output us/row over kernel us/event, the
+    served session over the plain one, and wide-grid us/job over small-grid
+    us/job: best of ``repeat`` interleaved runs."""
     from repro.experiments.bench import grid_end_to_end, timeout_churn
 
     def seconds(fn, *args) -> float:
@@ -221,11 +270,15 @@ def measure_ratios(repeat: int) -> dict:
     collector, jobs = synthetic_run()
     dispatch = dispatch_run()
     plain, served = served_runs()
+    small, wide = sites_runs()
     rows = 0
     job_s = dispatch_s = row_s = event_s = plain_s = served_s = float("inf")
+    small_s = wide_s = float("inf")
     for _ in range(max(1, repeat)):
         job_s = min(job_s, seconds(grid_end_to_end, E2E_JOBS))
         dispatch_s = min(dispatch_s, seconds(dispatch))
+        small_s = min(small_s, seconds(small))
+        wide_s = min(wide_s, seconds(wide))
         with tempfile.TemporaryDirectory() as directory:
             started = time.perf_counter()
             rows = write_outputs(collector, jobs, Path(directory))
@@ -241,6 +294,9 @@ def measure_ratios(repeat: int) -> dict:
     us_per_dispatch = dispatch_s / DISPATCH_SHAPE[1] * 1e6
     us_per_row = row_s / rows * 1e6
     us_per_event = event_s / (CHURN_ARGS[0] * CHURN_ARGS[1]) * 1e6
+    small_sites, wide_sites, per_site = SITES_SHAPE
+    us_small = small_s / (small_sites * per_site) * 1e6
+    us_wide = wide_s / (wide_sites * per_site) * 1e6
     return {
         "e2e_ratio": {
             "jobs": E2E_JOBS,
@@ -265,6 +321,12 @@ def measure_ratios(repeat: int) -> dict:
             "plain_ms": round(plain_s * 1e3, 3),
             "served_ms": round(served_s * 1e3, 3),
             "ratio": round(served_s / plain_s, 2),
+        },
+        "sites_ratio": {
+            "sites": [small_sites, wide_sites],
+            "jobs_per_site": per_site,
+            "us_per_job": [round(us_small, 2), round(us_wide, 2)],
+            "ratio": round(us_wide / us_small, 2),
         },
     }
 
@@ -389,6 +451,13 @@ def main() -> int:
     print(
         f"  served session: {served['served_ms']:.2f} ms through workers._run_job over "
         f"{served['plain_ms']:.2f} ms plain ({served['jobs']} jobs) = ratio {served['ratio']:.2f}"
+    )
+
+    scaling = current["sites_ratio"]
+    print(
+        f"  sites: {scaling['us_per_job'][1]:.1f} us/job at {scaling['sites'][1]} sites over "
+        f"{scaling['us_per_job'][0]:.1f} at {scaling['sites'][0]} ({scaling['jobs_per_site']} "
+        f"jobs a site, panda_dispatcher) = ratio {scaling['ratio']:.2f}"
     )
 
     if args.write_baseline:

@@ -16,8 +16,10 @@ an idle server costs the kernel nothing and a finished run leaves no timer.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from functools import partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.des import Environment, Event, Store
 from repro.plugins.base import AllocationPolicy, ResourceView, SiteStatus
@@ -75,6 +77,68 @@ class _LiveSiteStatus(SiteStatus):
             len(site.queue) + site.assigned_jobs - site.finished_jobs - site.failed_jobs
             + site.running_jobs
         )
+
+
+#: One filed site of a backlog order: ``(backlog / weight, name, live status)``.
+_Entry = Tuple[float, str, SiteStatus]
+
+
+class _BacklogOrder:
+    """The run's live statuses in ``(backlog / weight, name)`` order, for one weight.
+
+    One sort builds it, at the first query for ``weight`` (positive and
+    run-constant, see :meth:`ResourceView.sites_by_backlog`).  After that a
+    site's entry moves only when a query finds the site in :attr:`dirty`,
+    which its :attr:`SiteRuntime.backlog_changed` hook fills: the old entry
+    is bisected out and the new one inserted.  Names are unique, so entries
+    never compare their statuses and the order does not depend on the order
+    the dirty sites are re-filed in.
+    """
+
+    __slots__ = ("weight", "weights", "filed", "entries", "dirty")
+
+    def __init__(self, statuses: Dict[str, SiteStatus], weight: Callable[[SiteStatus], float]):
+        self.weight = weight
+        self.weights = {name: weight(status) for name, status in statuses.items()}
+        self.filed: Dict[str, _Entry] = {
+            name: (status.backlog / self.weights[name], name, status)
+            for name, status in statuses.items()
+        }
+        self.entries: List[_Entry] = sorted(self.filed.values())
+        #: Sites to re-file at the next query (a dict as an insertion-ordered set).
+        self.dirty: Dict[str, None] = {}
+
+    def refile(self) -> List[_Entry]:
+        """Move the dirty sites to where their backlog files them now."""
+        entries, filed, weights = self.entries, self.filed, self.weights
+        for name in self.dirty:
+            old = filed[name]
+            key = old[2].backlog / weights[name]
+            if key != old[0]:
+                del entries[bisect_left(entries, old)]
+                filed[name] = new = (key, name, old[2])
+                insort(entries, new)
+        self.dirty.clear()
+        return entries
+
+
+def _mark_dirty(dirty_sets: List[Dict[str, None]], name: str) -> None:
+    """A site's backlog hook while more than one order is built."""
+    for dirty in dirty_sets:
+        dirty[name] = None
+
+
+class _LiveResourceView(ResourceView):
+    """The view of one dispatch: the run's live statuses, the time, and the
+    backlog orders the main server keeps for the run."""
+
+    def __init__(self, sites: Dict[str, SiteStatus], time: float,
+                 orders: Callable[[Callable[[SiteStatus], float]], Iterator[_Entry]]) -> None:
+        # ResourceView.__init__'s two fields, set here: one frame less a dispatch.
+        self._sites, self.time, self._orders = sites, time, orders
+
+    def sites_by_backlog(self, weight: Callable[[SiteStatus], float]) -> Iterator[_Entry]:
+        return self._orders(weight)
 
 
 class MainServer:
@@ -178,6 +242,8 @@ class MainServer:
         self._statuses: Dict[str, SiteStatus] = {
             name: _LiveSiteStatus(name, site, data_manager) for name, site in self.sites.items()
         }
+        #: The backlog orders policies have asked for, by weight (built on first use).
+        self._orders: Dict[Callable[[SiteStatus], float], _BacklogOrder] = {}
 
         self.policy.initialize(platform_description or {})
         for site in self.sites.values():
@@ -194,7 +260,24 @@ class MainServer:
     def resource_view(self) -> ResourceView:
         """The view handed to the policy for one dispatch: the run's live statuses
         and the current time.  Nothing is read or built here."""
-        return ResourceView(self._statuses, time=self.env.now)
+        return _LiveResourceView(self._statuses, self.env.now, self._sites_by_backlog)
+
+    def _sites_by_backlog(self, weight: Callable[[SiteStatus], float]) -> Iterator[_Entry]:
+        """:meth:`ResourceView.sites_by_backlog` over the live statuses: the
+        order kept for ``weight``, with the sites changed since the last query
+        re-filed (the first query for a weight sorts every site and hooks the
+        sites up to mark their changes in every order)."""
+        order = self._orders.get(weight)
+        if order is None:
+            order = self._orders[weight] = _BacklogOrder(self._statuses, weight)
+            dirty_sets = [built.dirty for built in self._orders.values()]
+            for name, site in self.sites.items():
+                site.backlog_changed = (
+                    partial(dirty_sets[0].setdefault, name) if len(dirty_sets) == 1
+                    else partial(_mark_dirty, dirty_sets, name)
+                )
+            return iter(order.entries)
+        return iter(order.refile() if order.dirty else order.entries)
 
     # -- lifecycle -----------------------------------------------------------------
     def expect(self, count: int) -> None:
@@ -372,8 +455,9 @@ class MainServer:
         snapshot serves as the verification record a restore is checked
         against -- job ids in the pending list keep arrival order, and the
         sweep grid its float, which replay must reproduce exactly.  The
-        run-constant values each live status stores are audited against the
-        site on the way (:class:`CheckpointError` on mismatch).
+        run-constant values each live status stores, and every backlog order
+        built (after re-filing its dirty sites), are audited against the sites
+        on the way (:class:`CheckpointError` on mismatch).
         """
         for name, status in self._statuses.items():
             site = self.sites[name]
@@ -384,6 +468,20 @@ class MainServer:
                     f"site {name!r}: its live status holds (total cores, widest host, core "
                     f"speed) {kept} but the site now has {current}"
                 )
+        for order in self._orders.values():
+            kept = [entry[:2] for entry in order.refile()]
+            fresh = sorted(
+                (status.backlog / order.weight(status), name)
+                for name, status in self._statuses.items()
+            )
+            for filed, due in zip(kept, fresh):
+                if filed != due:
+                    raise CheckpointError(
+                        f"site {filed[1]!r} is filed at backlog/weight {filed[0]!r} in the "
+                        f"backlog order of {order.weight!r}, where a fresh sort has site "
+                        f"{due[1]!r} at {due[0]!r} (a backlog changed without "
+                        f"SiteRuntime.backlog_changed)"
+                    )
         return {
             "next_sweep": self._next_sweep,
             "sweep_armed": self._sweep_tick is not None,

@@ -18,7 +18,7 @@ keeps so that results stay bit-identical).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 
 from repro.config.infrastructure import SiteConfig
 from repro.des import Environment, Event
@@ -115,6 +115,10 @@ class SiteRuntime:
         self.completed: List[Job] = []
         #: Callbacks invoked (with the job) whenever a job reaches a terminal state.
         self.completion_callbacks: List = []
+        #: Called (no arguments) right after :attr:`backlog` or the queue changes,
+        #: before anyone is notified: the main server sets it once a policy reads
+        #: the sites in backlog order, so it can re-file this site.
+        self.backlog_changed: Optional[Callable[[], None]] = None
 
         self._receiver_process = env.process(self._receiver())
 
@@ -127,12 +131,16 @@ class SiteRuntime:
         else:
             waiting, self._idle = self._idle, None
             waiting.succeed(job)
+        if self.backlog_changed is not None:
+            self.backlog_changed()
 
     def _next_job(self) -> Event:
         """Take the head of the queue; the event carries it one calendar hop later."""
         event = self.env.event()
         if self.queue:
             event.succeed(self.queue.popleft())
+            if self.backlog_changed is not None:
+                self.backlog_changed()
         else:
             self._idle = event
         return event
@@ -278,6 +286,8 @@ class SiteRuntime:
     def _fail(self, job: Job, reason: str) -> None:
         """Mark ``job`` failed and notify listeners."""
         self.failed_jobs += 1
+        if self.backlog_changed is not None:
+            self.backlog_changed()
         if not job.state.is_terminal():
             job.advance(JobState.FAILED, self.env.now, reason=reason)
         self.completed.append(job)
@@ -360,6 +370,8 @@ class _Execution:
         site, job, env = self.site, self.job, self.site.env
         job.advance(JobState.RUNNING, env.now)
         site.running_jobs += 1
+        if site.backlog_changed is not None:
+            site.backlog_changed()
         site._record(job, JobState.RUNNING)
         duration = self.host.duration_for(
             job.work, cores=job.cores, efficiency=site.parallel_efficiency
@@ -398,9 +410,11 @@ class _Execution:
             if job.state is JobState.RUNNING:
                 site.running_jobs -= 1
             if failure is not None:
-                site._fail(job, failure)
+                site._fail(job, failure)  # marks the change, the decrement above included
             else:
                 site.finished_jobs += 1
+                if site.backlog_changed is not None:
+                    site.backlog_changed()
                 job.advance(JobState.FINISHED, site.env.now)
                 site.completed.append(job)
                 site._record(job, JobState.FINISHED)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional
+from operator import itemgetter
+from typing import Callable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.utils.errors import SchedulingError
 from repro.workload.job import Job
@@ -150,6 +151,26 @@ class ResourceView:
             ):
                 best, least = s, backlog
         return best
+
+    def sites_by_backlog(
+        self, weight: Callable[[SiteStatus], float]
+    ) -> Iterator[Tuple[float, str, SiteStatus]]:
+        """Every site as ``(backlog / weight(site), name, site)``, smallest first.
+
+        ``weight`` must be positive and *run-constant*: it may read only the
+        fields a site keeps for the whole run (``total_cores``,
+        ``max_host_cores``, ``core_speed``, ``properties``), and the same
+        callable (a bound method, say) must be passed at every dispatch.  A
+        view over plain records sorts them on every call; the main server's
+        view keeps one order per weight for the run and re-files only the
+        sites whose backlog changed since the previous call, so a policy that
+        stops early reads a few sites instead of all of them ("What a dispatch
+        scans" in ``docs/architecture.md``).
+        """
+        return iter(sorted(
+            ((s.backlog / weight(s), s.name, s) for s in self._sites.values()),
+            key=itemgetter(0, 1),
+        ))
 
     def total_available_cores(self) -> int:
         """Free cores across the whole grid."""

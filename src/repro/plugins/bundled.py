@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.plugins.base import AllocationPolicy, ResourceView
+from repro.plugins.base import AllocationPolicy, ResourceView, SiteStatus
 from repro.plugins.registry import register_policy
 from repro.utils.rng import RandomSource
 from repro.workload.job import Job
@@ -209,19 +209,55 @@ class PandaDispatcherPolicy(AllocationPolicy):
         speeds = [z["mean_core_speed"] for z in zones.values() if z.get("mean_core_speed")]
         self._mean_speed = float(np.mean(speeds)) if speeds else None
 
+    def _capacity(self, site: SiteStatus) -> float:
+        """``total_cores * relative_speed``: the run-constant weight of a site."""
+        return max(site.total_cores, 1) * max(site.core_speed / (self._mean_speed or 1.0), 1e-9)
+
     def assign_job(self, job: Job, resources: ResourceView) -> Optional[str]:
+        """The fitting site of least ``(expected_wait, name)``, read in backlog order.
+
+        The sites come in ``(k, name)`` order, ``k = fl(b / C)`` for backlog
+        ``b`` and capacity ``C`` (:meth:`ResourceView.sites_by_backlog`), and
+        the walk stops where no later site can win.  It picks what a scan of
+        every site picks.  With ``t = b / C`` the exact rational, a site's
+        wait is ``W = fl(w * t)`` (``b * w`` is an exact integer, divided once,
+        correctly rounded) and ``k = fl(t)``: both are non-decreasing in
+        ``t``, so ``k' > k`` implies ``t' > t`` and ``W' >= W``.
+
+        * Width ``w == 1``: ``W == k`` bit for bit, so the order *is* the
+          ``(W, name)`` order and the first fitting site wins.
+        * ``W == 0`` for the best so far: ``0 <= k <= W`` puts every site with
+          ``W == 0`` in the ``k == 0`` group, which is read in name order, so
+          the ones not read yet have larger names.  Stop.
+        * Otherwise, at the first site whose ``W`` exceeds the best, every
+          later ``k`` group has a larger ``W`` still and cannot win; a later
+          site of the *same* group may have a smaller ``t`` and tie the best
+          under a smaller name, so the group is read to its end, then stop.
+          Sites read on the way that tie or beat the best update it as the
+          full scan would.
+        """
         if self.respect_target and job.target_site and job.target_site in resources:
             target = resources.site(job.target_site)
             if target.max_host_cores >= job.cores:
                 return target.name
-        reference_speed = self._mean_speed or 1.0
-        width = max(1, job.cores)
-        best, least = None, 0.0
-        for site in resources.sites_that_fit(job.cores):
-            capacity = max(site.total_cores, 1) * max(site.core_speed / reference_speed, 1e-9)
-            wait = site.backlog * width / capacity
-            if best is None or wait < least or (wait == least and site.name < best):
-                best, least = site.name, wait
+        cores, width = job.cores, max(1, job.cores)
+        order = resources.sites_by_backlog(self._capacity)
+        if width == 1:
+            for _, name, site in order:
+                if site.max_host_cores >= cores:
+                    return name
+            return None
+        best, least, closing = None, 0.0, None
+        for key, name, site in order:
+            if closing is not None and key != closing:
+                break
+            wait = site.backlog * width / self._capacity(site)
+            if best is not None and wait > least:
+                closing = key
+            elif site.max_host_cores >= cores and (best is None or wait < least or name < best):
+                best, least = name, wait
+                if wait == 0.0:
+                    break
         return best
 
 

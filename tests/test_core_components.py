@@ -466,6 +466,33 @@ class TestMainServer:
         with pytest.raises(CheckpointError, match=message):
             server.snapshot()
 
+    def test_snapshot_audits_every_backlog_order(self, env):
+        from repro.plugins.bundled import PandaDispatcherPolicy
+        from repro.utils.errors import CheckpointError
+
+        jobs = [Job(work=1e9, cores=1 + i % 2, submission_time=0.1 * i) for i in range(6)]
+        server, sites = build_grid(env, PandaDispatcherPolicy(), jobs)
+        env.run(until=server.all_done)
+        server.snapshot()  # the dispatches built one order and kept it filed
+        (order,) = server._orders.values()
+        sites["SMALL"].assigned_jobs += 1  # a backlog moved without the hook
+        message = r"site 'SMALL' is filed at backlog/weight 0\.0 .* has site 'SMALL' at 0\.5"
+        with pytest.raises(CheckpointError, match=message):
+            server.snapshot()
+        sites["SMALL"].assigned_jobs -= 1
+        server.snapshot()
+        order.entries.reverse()  # every key right, the order wrong
+        message = r"site 'SMALL' is filed at backlog/weight 0\.0 .* has site 'BIG' at 0\.0"
+        with pytest.raises(CheckpointError, match=message):
+            server.snapshot()
+
+    def test_a_policy_that_reads_no_order_leaves_the_sites_unhooked(self, env):
+        jobs = [Job(work=1e9, cores=1 + i % 2, submission_time=0.1 * i) for i in range(6)]
+        server, sites = build_grid(env, LeastLoadedPolicy(), jobs)
+        env.run(until=server.all_done)
+        assert server._orders == {}
+        assert all(site.backlog_changed is None for site in sites.values())
+
 
 class GatedPolicy(LeastLoadedPolicy):
     """Parks a job until its ``gate`` attribute (a simulated time); logs every call."""

@@ -296,14 +296,17 @@ class TestBenchRegressionGate:
         return module
 
     CEILINGS = {"e2e_ratio_ceiling": 100.0, "dispatch_ratio_ceiling": 160.0,
-                "output_ratio_ceiling": 10.0, "served_ratio_ceiling": 1.9}
+                "output_ratio_ceiling": 10.0, "served_ratio_ceiling": 1.9,
+                "sites_ratio_ceiling": 2.0}
 
     @staticmethod
-    def current(ratio, output_ratio=6.0, dispatch_ratio=120.0, served_ratio=1.4):
+    def current(ratio, output_ratio=6.0, dispatch_ratio=120.0, served_ratio=1.4,
+                sites_ratio=1.5):
         return {"cpu_count": 64, "scale": 0.05, "rates": {}, "e2e_ratio": {"ratio": ratio},
                 "dispatch_ratio": {"ratio": dispatch_ratio},
                 "output_ratio": {"ratio": output_ratio},
-                "served_ratio": {"ratio": served_ratio}}
+                "served_ratio": {"ratio": served_ratio},
+                "sites_ratio": {"ratio": sites_ratio}}
 
     def test_ratio_gate_applies_on_any_machine(self, gate, capsys):
         baseline = {"cpu_count": 1, "scale": 0.05, "rates": {"timeout_churn": 1.0},
@@ -373,6 +376,29 @@ class TestBenchRegressionGate:
         assert served(str(tmp_path)) == plain()
         assert gate.SERVED_PACK["workload"]["jobs"] == 40
         assert list(tmp_path.rglob("*")), "the served run stored no checkpoint blob"
+
+    def test_sites_gate_fails_above_its_own_ceiling(self, gate, capsys):
+        """A dispatch that reads every site makes a 160-site job dearer than a
+        10-site one: 2.4-3.8 before panda_dispatcher read the sites in order."""
+        baseline = {"cpu_count": 1, "scale": 0.05, "rates": {}, **self.CEILINGS}
+        assert gate.compare(self.current(80.0, sites_ratio=1.9), baseline) == 0
+        assert gate.compare(self.current(80.0, sites_ratio=2.9), baseline) == 1
+        err = capsys.readouterr().err
+        assert "sites_ratio 2.9 is above the committed ceiling 2.0" in err
+        assert "e2e_ratio" not in err and "dispatch_ratio" not in err
+
+    def test_sites_gate_runs_panda_on_a_small_and_a_wide_grid(self, gate, monkeypatch):
+        from repro.plugins.bundled import PandaDispatcherPolicy
+
+        seen = []
+        assign = PandaDispatcherPolicy.assign_job
+        monkeypatch.setattr(PandaDispatcherPolicy, "assign_job", lambda self, job, resources: (
+            seen.append(len(resources)), assign(self, job, resources))[1])
+        monkeypatch.setattr(gate, "SITES_SHAPE", (2, 6, 5))
+        small, wide = gate.sites_runs()
+        small()
+        wide()
+        assert seen == [2] * 10 + [6] * 30
 
     def test_baseline_without_a_ceiling_fails(self, gate, capsys):
         assert gate.compare(self.current(80.0), {"cpu_count": 1, "rates": {}}) == 1

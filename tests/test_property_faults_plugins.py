@@ -12,7 +12,11 @@ Invariants checked over randomized inputs:
 * the live statuses the main server hands out equal, at every step of a
   random run, plain records built from the same reads, and every bundled
   policy picks the same site from either -- the one the tuple-key ``min``
-  its single-pass selection replaced would pick.
+  its single-pass selection replaced would pick;
+* on a grid of 80-160 sites, ``panda_dispatcher``'s walk of the live backlog
+  order, which stops early, picks at every step of a random run what the scan
+  of every plain record picks -- and so it does on hand-built records whose
+  capacities tie up to rounding.
 """
 
 from __future__ import annotations
@@ -154,13 +158,8 @@ class TestResourceViewProperties:
         best = view.least_loaded(cores)
         if fitting:
             assert best is not None and best.name in {s.name for s in fitting}
-            # No eligible site has strictly less outstanding work per core.
-            assert all(
-                (best.normalized_backlog, best.load_fraction)
-                <= (s.normalized_backlog + 1e-12, s.load_fraction + 1e-12)
-                or best.normalized_backlog <= s.normalized_backlog + 1e-12
-                for s in fitting
-            )
+            # The least (outstanding work per core, load fraction, name) of the fitting sites.
+            assert best.name == tuple_key_least_loaded(view, cores)
         else:
             assert best is None
 
@@ -227,7 +226,7 @@ def plain_record(name, site, data) -> SiteStatus:
         assigned_jobs=site.backlog,
         finished_jobs=site.finished_jobs,
         failed_jobs=site.failed_jobs,
-        resident_data=data.resident_data(name),
+        resident_data=data.resident_data(name) if data is not None else frozenset(),
         properties=site.config.properties,
         max_host_cores=site.max_host_cores(),
     )
@@ -338,3 +337,130 @@ class TestLiveStatusesEqualPlainRecords:
                 assert choice == on_records.assign_job(offer, records), name
                 if name in ("least_loaded", "data_aware", "panda_dispatcher", "backfill"):
                     assert choice == tuple_key_choice(on_live, offer, records), name
+
+
+# -- panda_dispatcher's ordered walk on a wide grid ------------------------------------
+
+#: Site shapes: (host cores, core speed).  Few of them, so backlog-per-capacity ties
+#: are common.  The first seven all weigh twelve 1 GHz cores, but through three
+#: roundings of ``cores * (speed / mean speed)`` -- near-ties, where ``fl(b / C)``
+#: agrees and ``fl(w * b / C)`` does not.  The last one is narrow.
+WIDE_SHAPES = [([12], 1e9), ([4, 8], 1e9), ([6], 2e9), ([4], 3e9), ([8], 1.5e9),
+               ([5], 2.4e9), ([10], 1.2e9), ([2, 2], 1e9)]
+#: What a step of a wide run hands out before its kernel events: nothing, a job
+#: for one site, or a job for every ``stride``-th site from ``offset`` (many
+#: backlogs move at once).  Widths up to 9 are too wide for some or all hosts:
+#: such a job fails at its site.
+wide_jobs = st.one_of(
+    st.none(),
+    st.tuples(st.just("submit"), st.integers(0, 159), st.integers(1, 9), st.integers(1, 3)),
+    st.tuples(st.just("wave"), st.integers(0, 3), st.integers(1, 4), st.integers(1, 9),
+              st.integers(1, 3)),
+)
+
+
+class TestOrderedDispatchOnAWideGrid:
+    """``panda_dispatcher`` walks the live view's backlog order and stops early;
+    at every step it must pick what the scan of every plain record picks."""
+
+    @given(st.lists(st.tuples(st.sampled_from(range(len(WIDE_SHAPES))), st.integers(1, 3)),
+                    min_size=80, max_size=160),
+           st.lists(st.tuples(wide_jobs, st.integers(0, 400), st.integers(1, 5)),
+                    min_size=1, max_size=30),
+           seeds)
+    # W002 and W003 near-tie: the key files W003 first, yet a 3-core job waits as long
+    # at either, and W002 wins by name: the walk must read past the first fitting site.
+    @example(grid=[(3, 3), (3, 3), (0, 2), (4, 2)], steps=[(None, 0, 3)], seed=0)
+    # A site's last queued job starts after its pop was re-filed: only the start's
+    # own hook keeps the order right.
+    @example(grid=[(5, 1), (1, 3), (1, 1), (1, 3), (4, 1)],
+             steps=[(None, 7, 1), (None, 9, 1)], seed=0)
+    # A receiver takes its first job off the queue between two queries: only the
+    # pop's own hook keeps the order right until that job starts.
+    @example(grid=[(6, 1), (6, 1), (7, 1), (1, 1)], steps=[(None, 0, 1), (None, 11, 1)],
+             seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_the_walk_picks_what_the_scan_picks(self, grid, steps, seed):
+        env = Environment()
+        platform = Platform(env)
+        failures = JobFailureModel(default_rate=0.3, seed=seed)
+        sites = {}
+        for index, (shape, _) in enumerate(grid):
+            host_cores, speed = WIDE_SHAPES[shape]
+            name = f"W{index:03d}"
+            platform.add_zone(name)
+            for host, cores in enumerate(host_cores):
+                platform.add_host(name, f"{name}_wn{host}", speed=speed, cores=cores)
+            config = SiteConfig(name=name, cores=sum(host_cores), core_speed=speed)
+            sites[name] = SiteRuntime(env, platform, config, failure_model=failures)
+        description = platform.describe()
+        server = MainServer(env, sites, create_policy("round_robin"), inbox=Store(env),
+                            total_jobs=0, platform_description=description)
+        on_live, on_records = create_policy("panda_dispatcher"), create_policy("panda_dispatcher")
+        for policy in (on_live, on_records):
+            policy.initialize(description)
+        # A second weight on the same live view (reference speed 1): its own order,
+        # which the sites' hooks must keep filed too.
+        unit_speed = create_policy("panda_dispatcher")
+        unit_speed.initialize({"zones": {}})
+        names = list(sites)
+
+        def submit(site, cores, hours):
+            job = Job(work=hours * 3.6e12, cores=cores)
+            job.advance(JobState.ASSIGNED, env.now, site=site.name)
+            site.submit(job)
+
+        def check(width):
+            records = ResourceView({name: plain_record(name, site, None)
+                                    for name, site in sites.items()}, time=env.now)
+            offer = Job(work=1e9, cores=width)
+            expected = tuple_key_choice(on_records, offer, records)
+            assert on_live.assign_job(offer, server.resource_view()) == expected
+            assert on_records.assign_job(offer, records) == expected
+            expected = tuple_key_choice(unit_speed, offer, records)
+            assert unit_speed.assign_job(offer, server.resource_view()) == expected
+
+        check(1)  # the first query builds the order over idle sites
+        for name, (_, load) in zip(names, grid):
+            for _ in range(load):
+                submit(sites[name], 1, 1)
+        for op, events, width in steps:
+            if op is not None and op[0] == "submit":
+                submit(sites[names[op[1] % len(names)]], op[2], op[3])
+            elif op is not None:
+                for name in names[op[1] % op[2]::op[2]]:
+                    submit(sites[name], op[3], op[4])
+            for _ in range(events):  # grants, starts, finishes, injected failures
+                if env.peek() == float("inf"):
+                    break
+                env.step()
+            check(width)
+
+
+class TestPandaWalkOnRecords:
+    """The walk's stopping rule on hand-built records, where capacities are
+    ``fl(cores * speed)`` for one odd speed and backlogs vary: many sites
+    share a key group while their waits round three ways."""
+
+    @given(st.floats(min_value=0.3, max_value=3.0, allow_nan=False),
+           # (cores, backlog); a backlog of one or two jobs a core puts the site's key
+           # within rounding of every other such site's.
+           st.lists(st.integers(1, 12).flatmap(lambda cores: st.tuples(
+               st.just(cores), st.one_of(st.integers(0, 12), st.sampled_from([cores, 2 * cores])))),
+               min_size=1, max_size=40),
+           st.integers(1, 7))
+    # One key group, every site fits, waits W001 > W000 > W002: the walk must read
+    # the group to its end after W001, or it misses W002.
+    @example(speed=0.7848293512744029, sites=[(7, 7), (9, 9), (12, 12)], width=3)
+    @settings(max_examples=200, deadline=None)
+    def test_the_walk_picks_what_the_scan_picks(self, speed, sites, width):
+        records = ResourceView({
+            f"W{index:03d}": SiteStatus(
+                name=f"W{index:03d}", total_cores=cores, available_cores=cores,
+                core_speed=speed, pending_jobs=0, running_jobs=0, assigned_jobs=backlog,
+                finished_jobs=0)
+            for index, (cores, backlog) in enumerate(sites)
+        })
+        policy = create_policy("panda_dispatcher")  # reference speed 1: C = fl(cores * speed)
+        offer = Job(work=1e9, cores=width)
+        assert policy.assign_job(offer, records) == tuple_key_choice(policy, offer, records)
