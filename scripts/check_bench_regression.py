@@ -22,8 +22,10 @@ through ``repro.service.workers._run_job`` (in-process, pipe stubs, a
 temporary artifact store) over the plain run of the same pack -- what serving
 a session costs on top of simulating it.  A fifth holds site-count scaling
 (paper Fig. 4(b)): microseconds per job of a 160-site ``panda_dispatcher`` run
-over those of a 10-site one, same jobs per site, both from the same run.  They
-run on every machine.
+over those of a 10-site one, same jobs per site, both from the same run.  A
+sixth holds recovery: one ``restore_session_from_blob`` of a ``replay_batch``
+run frozen at the time half its jobs had ended by, over that run's cold setup
+and advance.  They run on every machine.
 
 Usage::
 
@@ -85,6 +87,19 @@ SITES_SHAPE = (10, 160, 100)
 #: A session takes milliseconds: each of the ``--repeat`` samples is the best
 #: of this many back-to-back runs.
 SERVED_RUNS = 5
+#: Fixed pack of the restore gate, the ``replay_batch`` shape of
+#: ``benchmarks/stack`` at gate scale: 8 synthetic sites, 2 000 jobs at t=0,
+#: ``follow_trace``, monitoring off.
+RESTORE_PACK = {
+    "name": "restore-gate",
+    "grid": {"kind": "synthetic", "sites": 8, "seed": 1},
+    "workload": {"generator": "synthetic", "jobs": 2000, "seed": 7},
+    "execution": {"plugin": "follow_trace", "seed": 7,
+                  "monitoring": {"enable_events": False, "snapshot_interval": 0.0}},
+}
+#: Each of the ``--repeat`` samples of the restore gate is the best of this
+#: many cold runs and restores, interleaved.
+RESTORE_RUNS = 3
 #: Headroom ``--write-baseline`` puts between a measured ratio and its ceiling.
 RATIO_HEADROOM = 0.35
 #: The ratio gates: measurement key -> (ceiling key, what got slower).
@@ -105,6 +120,10 @@ RATIO_GATES = {
     "sites_ratio": (
         "sites_ratio_ceiling",
         "a job got dearer with the number of sites (a dispatch reads more of them)",
+    ),
+    "restore_ratio": (
+        "restore_ratio_ceiling",
+        "a restore at t_half got dearer relative to the cold run",
     ),
 }
 
@@ -141,6 +160,37 @@ def served_runs():
         return pipe[-1]["fingerprint"]
 
     return plain, served
+
+
+def restore_runs():
+    """The restore gate's two calls on ``RESTORE_PACK``: the cold run (build,
+    session, advance to completion; it returns the session) and one restore
+    of the blob frozen at the time half the cold run's jobs had ended by (it
+    returns the restored session, paused there)."""
+    from repro.scenarios.runner import _build_simulator
+    from repro.scenarios.schema import ScenarioPack
+    from repro.state import restore_session_from_blob
+    from repro.workload.job import reset_job_id_counter
+
+    pack = ScenarioPack.from_dict(RESTORE_PACK)
+    canonical = pack.to_dict()
+
+    def open_session():
+        reset_job_id_counter(1)
+        simulator, jobs = _build_simulator(pack)
+        return simulator.session(jobs)
+
+    def cold():
+        return open_session().advance_to_completion()
+
+    ends = sorted(job.end_time for job in cold().finalize().jobs)
+    frozen = open_session().advance_until(ends[len(ends) // 2])
+    blob = frozen.checkpoint(extra={"scenario_pack": canonical})
+
+    def restore():
+        return restore_session_from_blob(blob, expected_pack=canonical)[0]
+
+    return cold, restore
 
 
 def dispatch_run():
@@ -258,9 +308,13 @@ def write_outputs(collector, jobs, directory: Path) -> int:
 
 def measure_ratios(repeat: int) -> dict:
     """Stack and dispatch us/job and output us/row over kernel us/event, the
-    served session over the plain one, and wide-grid us/job over small-grid
-    us/job: best of ``repeat`` interleaved runs."""
+    served session over the plain one, wide-grid us/job over small-grid
+    us/job, and a restore at t_half over the cold run: best of ``repeat``
+    interleaved runs."""
+    import gc
+
     from repro.experiments.bench import grid_end_to_end, timeout_churn
+    from repro.state import fingerprint_result
 
     def seconds(fn, *args) -> float:
         started = time.perf_counter()
@@ -271,9 +325,10 @@ def measure_ratios(repeat: int) -> dict:
     dispatch = dispatch_run()
     plain, served = served_runs()
     small, wide = sites_runs()
+    cold, restore = restore_runs()
     rows = 0
     job_s = dispatch_s = row_s = event_s = plain_s = served_s = float("inf")
-    small_s = wide_s = float("inf")
+    small_s = wide_s = cold_s = restore_s = float("inf")
     for _ in range(max(1, repeat)):
         job_s = min(job_s, seconds(grid_end_to_end, E2E_JOBS))
         dispatch_s = min(dispatch_s, seconds(dispatch))
@@ -290,6 +345,14 @@ def measure_ratios(repeat: int) -> dict:
                 served_s = min(served_s, seconds(served, directory))
             if served(directory) != plain():
                 raise RuntimeError("served fingerprint differs from the plain run's")
+        for _ in range(RESTORE_RUNS):
+            gc.collect()
+            cold_s = min(cold_s, seconds(cold))
+            gc.collect()
+            restore_s = min(restore_s, seconds(restore))
+    restored = restore().advance_to_completion().finalize()
+    if fingerprint_result(restored) != fingerprint_result(cold().finalize()):
+        raise RuntimeError("the restored run's fingerprint differs from the cold run's")
     us_per_job = job_s / E2E_JOBS * 1e6
     us_per_dispatch = dispatch_s / DISPATCH_SHAPE[1] * 1e6
     us_per_row = row_s / rows * 1e6
@@ -327,6 +390,12 @@ def measure_ratios(repeat: int) -> dict:
             "jobs_per_site": per_site,
             "us_per_job": [round(us_small, 2), round(us_wide, 2)],
             "ratio": round(us_wide / us_small, 2),
+        },
+        "restore_ratio": {
+            "jobs": RESTORE_PACK["workload"]["jobs"],
+            "cold_ms": round(cold_s * 1e3, 2),
+            "restore_ms": round(restore_s * 1e3, 2),
+            "ratio": round(restore_s / cold_s, 2),
         },
     }
 
@@ -458,6 +527,13 @@ def main() -> int:
         f"  sites: {scaling['us_per_job'][1]:.1f} us/job at {scaling['sites'][1]} sites over "
         f"{scaling['us_per_job'][0]:.1f} at {scaling['sites'][0]} ({scaling['jobs_per_site']} "
         f"jobs a site, panda_dispatcher) = ratio {scaling['ratio']:.2f}"
+    )
+
+    recovery = current["restore_ratio"]
+    print(
+        f"  restore at t_half: {recovery['restore_ms']:.1f} ms over a cold run of "
+        f"{recovery['cold_ms']:.1f} ms ({recovery['jobs']} jobs, replay_batch shape) "
+        f"= ratio {recovery['ratio']:.2f}"
     )
 
     if args.write_baseline:

@@ -752,6 +752,12 @@ class SimulationSession:
             If called mid-advance, after an aborted advance, on a fork
             branch, or when the payload cannot be pickled.
         """
+        from repro.state.checkpoint import encode_checkpoint
+
+        return encode_checkpoint(self._checkpoint_payload(extra))
+
+    def _checkpoint_payload(self, extra: Optional[dict]) -> dict:
+        """The payload :meth:`checkpoint` encodes (its guards included)."""
         self._require_open()
         if self._sentinel is not None:
             raise CheckpointError(
@@ -769,11 +775,11 @@ class SimulationSession:
                 "streams apply from the fork point, which a from-scratch replay "
                 "cannot reproduce; checkpoint the root session instead"
             )
-        from repro.state.checkpoint import CHECKPOINT_VERSION, encode_checkpoint
+        from repro.state.checkpoint import CHECKPOINT_VERSION
 
         sim = self._simulator
         collector = sim.collector
-        payload = {
+        return {
             "format": CHECKPOINT_VERSION,
             "time": self.now,
             "job_counter": self._job_counter_base,
@@ -786,7 +792,6 @@ class SimulationSession:
             "keep_in_memory": bool(collector.keep_in_memory) if collector is not None else True,
             "extra": dict(extra) if extra else {},
         }
-        return encode_checkpoint(payload)
 
     @classmethod
     def restore(
@@ -816,16 +821,43 @@ class SimulationSession:
         all recording for speed and re-seats the counters from the blob
         afterwards.
 
-        ``branch`` is used internally by :meth:`fork` to derive per-branch
-        RNG streams; leave it ``None`` to resume the original timeline.
+        ``branch=i`` restores branch ``i`` of :meth:`fork` -- RNG streams
+        derived from the blob's fingerprint and ``i``; leave it ``None`` to
+        resume the original timeline.
         """
-        from repro.state.checkpoint import checkpoint_fingerprint, decode_checkpoint
+        from repro.state.checkpoint import decode_checkpoint, payload_fingerprint
 
+        payload = decode_checkpoint(blob)
+        return cls._restore_payload(
+            simulator_factory,
+            payload,
+            monitoring=monitoring,
+            branch=branch,
+            fingerprint=None if branch is None else payload_fingerprint(payload),
+        )
+
+    @classmethod
+    def _restore_payload(
+        cls,
+        simulator_factory,
+        payload: dict,
+        *,
+        monitoring: str = "replay",
+        branch: Optional[int] = None,
+        fingerprint: Optional[str] = None,
+    ) -> "SimulationSession":
+        """:meth:`restore` from a decoded payload, which this call consumes.
+
+        The payload's wave 0 becomes the session's live jobs (the session
+        keeps its one pristine copy), so one decoded payload backs exactly
+        one session: decode the blob again for another.  ``fingerprint`` is
+        the blob's :func:`~repro.state.checkpoint.payload_fingerprint`, which
+        a ``branch`` restore seeds its streams from.
+        """
         if monitoring not in ("replay", "muted"):
             raise CheckpointError(
                 f"unknown monitoring mode {monitoring!r} (use 'replay' or 'muted')"
             )
-        payload = decode_checkpoint(blob)
         simulator = cls._resolve_simulator(simulator_factory, payload)
         expected_sites = sorted(payload.get("site_names", []))
         actual_sites = sorted(site.name for site in simulator.infrastructure.sites)
@@ -838,7 +870,7 @@ class SimulationSession:
         # Resuming the original timeline continues its streamed output files.
         simulator._continue_outputs = branch is None
         try:
-            session = simulator.session(job.copy_for_replay() for job in waves[0])
+            session = simulator.session(waves[0])
         finally:
             simulator._continue_outputs = False
         # Re-seat the run-scoped allocator so replayed retries mint the same
@@ -875,7 +907,7 @@ class SimulationSession:
             raise
         session._restoring = False
         if branch is not None:
-            session._apply_branch(int(branch), checkpoint_fingerprint(blob))
+            session._apply_branch(int(branch), fingerprint)
         return session
 
     @staticmethod
@@ -999,19 +1031,33 @@ class SimulationSession:
         are forwarded to :meth:`restore` (by default each branch clones this
         session's simulator configuration).
         """
+        from repro.state.checkpoint import (
+            decode_checkpoint,
+            encode_checkpoint,
+            payload_fingerprint,
+        )
+
         n = int(n)
         if n < 1:
             raise SessionError(f"fork(n) needs n >= 1, got {n}")
-        blob = self.checkpoint()
+        payload = self._checkpoint_payload(None)
+        blob = encode_checkpoint(payload)
+        fingerprint = payload_fingerprint(payload)
         branches: List["SimulationSession"] = []
         for index in range(n):
             if simulator_factory is None:
                 simulator = self._simulator.clone()
             else:
                 simulator = simulator_factory()
+            # Every branch decodes its own payload: its wave 0 becomes the
+            # branch's live jobs.
             branches.append(
-                SimulationSession.restore(
-                    simulator, blob, monitoring=monitoring, branch=index
+                SimulationSession._restore_payload(
+                    simulator,
+                    decode_checkpoint(blob),
+                    monitoring=monitoring,
+                    branch=index,
+                    fingerprint=fingerprint,
                 )
             )
         return branches

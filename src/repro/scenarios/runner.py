@@ -40,11 +40,50 @@ __all__ = ["ScenarioOutcome", "run_scenario_pack", "sweep_specs", "execute_scena
 
 
 def _build_simulator(pack: ScenarioPack) -> Tuple[Simulator, List]:
-    """Materialise a pack's grid, workload and fault/data wiring."""
-    base_dir = pack.base_dir()
-    infrastructure, topology = pack.grid.build(base_dir)
-    jobs = pack.workload.build(infrastructure, base_dir)
+    """Cold build: the pack's grid, its materialised workload, and the wiring."""
+    infrastructure, topology = pack.grid.build(pack.base_dir())
+    jobs = _materialise_jobs(pack, infrastructure)
+    return _wire_simulator(pack, infrastructure, topology, jobs), jobs
 
+
+def _simulator_for_jobs(pack: ScenarioPack, jobs: List) -> Simulator:
+    """The pack's grid and wiring around ``jobs``, which are never generated here.
+
+    A restore passes the blob's wave 0: those jobs already carry the
+    ``dataset`` attribute and ``target_site`` :func:`_materialise_jobs` gave
+    the original run, which is all the data wiring reads.
+    """
+    infrastructure, topology = pack.grid.build(pack.base_dir())
+    return _wire_simulator(pack, infrastructure, topology, jobs)
+
+
+def _materialise_jobs(pack: ScenarioPack, infrastructure) -> List:
+    """Generate (or load) the pack's workload and assign each job its dataset."""
+    jobs = pack.workload.build(infrastructure, pack.base_dir())
+    data = pack.data
+    if data is None:
+        return jobs
+    names = sorted(data.dataset_catalog())
+    if data.assignment == "zipf":
+        import numpy as np
+
+        from repro.utils.rng import RandomSource
+
+        ranks = np.arange(1, len(names) + 1, dtype=float)
+        weights = ranks ** -data.zipf_exponent
+        weights /= weights.sum()
+        generator = RandomSource(data.seed).generator("dataset-assignment")
+        draws = generator.choice(len(names), size=len(jobs), p=weights)
+        for job, draw in zip(jobs, draws):
+            job.attributes["dataset"] = names[int(draw)]
+    else:
+        for index, job in enumerate(jobs):
+            job.attributes["dataset"] = names[index % len(names)]
+    return jobs
+
+
+def _wire_simulator(pack: ScenarioPack, infrastructure, topology, jobs: List) -> Simulator:
+    """A simulator for ``jobs`` on the given grid, with the pack's fault and data wiring."""
     failure_model = None
     outages: List = []
     if pack.faults is not None:
@@ -56,22 +95,6 @@ def _build_simulator(pack: ScenarioPack) -> Tuple[Simulator, List]:
     if pack.data is not None:
         data = pack.data
         catalog_sizes = data.dataset_catalog()
-        names = sorted(catalog_sizes)
-        if data.assignment == "zipf":
-            import numpy as np
-
-            from repro.utils.rng import RandomSource
-
-            ranks = np.arange(1, len(names) + 1, dtype=float)
-            weights = ranks ** -data.zipf_exponent
-            weights /= weights.sum()
-            generator = RandomSource(data.seed).generator("dataset-assignment")
-            draws = generator.choice(len(names), size=len(jobs), p=weights)
-            for job, draw in zip(jobs, draws):
-                job.attributes["dataset"] = names[int(draw)]
-        else:
-            for index, job in enumerate(jobs):
-                job.attributes["dataset"] = names[index % len(names)]
         site_names = list(infrastructure.site_names)
         enable_data_transfers = True
         if data.cache is not None:
@@ -125,7 +148,7 @@ def _build_simulator(pack: ScenarioPack) -> Tuple[Simulator, List]:
     )
     if build_hook is not None:
         simulator.on_build(build_hook)
-    return simulator, jobs
+    return simulator
 
 
 def _prewarm_pairs(jobs: List, site_names: List[str]) -> List[Tuple[str, str]]:
@@ -203,11 +226,13 @@ def _resume_pack_session(
 ) -> Optional[SimulationSession]:
     """Restore the pack's session from ``checkpoint_dir/latest.ckpt`` if it matches.
 
-    The blob's embedded pack dict must equal this run's (overrides included)
-    -- a blob from a different pack or configuration is ignored and the study
-    starts cold rather than silently resuming the wrong run.  Rebuilding the
-    simulator through :func:`_build_simulator` re-registers the pack's build
-    hooks (replica placement), which the checkpoint itself cannot carry.
+    The blob is read and decoded once.  Its embedded pack dict must equal
+    this run's (overrides included) -- a blob from a different pack or
+    configuration is ignored and the study starts cold rather than silently
+    resuming the wrong run.  The simulator is wired by
+    :func:`_simulator_for_jobs` around the blob's own wave 0, which
+    re-registers the pack's build hooks (replica placement) the checkpoint
+    itself cannot carry; the workload is not generated again.
     """
     from repro.state import decode_checkpoint
 
@@ -218,8 +243,10 @@ def _resume_pack_session(
     extra = payload.get("extra") or {}
     if extra.get("scenario_pack") != pack_dict:
         return None
-    simulator, _ = _build_simulator(pack)
-    return SimulationSession.restore(simulator, latest.read_bytes())
+    wave0 = payload["waves"][0]
+    return SimulationSession._restore_payload(
+        lambda: _simulator_for_jobs(pack, wave0), payload
+    )
 
 
 def _run_single(

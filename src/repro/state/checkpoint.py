@@ -34,6 +34,7 @@ __all__ = [
     "encode_checkpoint",
     "decode_checkpoint",
     "checkpoint_fingerprint",
+    "payload_fingerprint",
     "fingerprint_result",
 ]
 
@@ -109,9 +110,14 @@ def checkpoint_fingerprint(blob: bytes) -> str:
     same state explores the same branch futures, which is what makes
     branches replicable.
     """
+    return payload_fingerprint(decode_checkpoint(blob))
+
+
+def payload_fingerprint(payload: dict) -> str:
+    """:func:`checkpoint_fingerprint` of an already decoded (or not yet
+    encoded) payload: the same digest, without decoding the blob again."""
     import json
 
-    payload = decode_checkpoint(blob)
     document = {
         "time": payload.get("time"),
         "job_counter": payload.get("job_counter"),

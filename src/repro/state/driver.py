@@ -33,30 +33,34 @@ __all__ = [
 
 
 def session_factory_for_payload(payload: dict):
-    """Simulator factory rebuilt from a blob's embedded scenario provenance.
+    """Simulator factory rebuilt from a decoded blob's scenario provenance.
 
     Checkpoints written by scenario runs stamp the pack's canonical dict
     (and source path) into the blob's ``extra``; this helper turns that
-    provenance back into a zero-argument factory that rebuilds the
-    simulator through the scenario runner -- re-registering the pack's
-    build hooks (replica placement), which the embedded-config restore
-    path cannot reconstruct.  Returns ``None`` for blobs without scenario
-    provenance (``SimulationSession.restore`` then uses the embedded
-    simulator configuration).
+    provenance back into a zero-argument factory that builds the pack's
+    grid and wires the simulator around the payload's own wave 0 --
+    re-registering the pack's build hooks (replica placement), which the
+    embedded-config restore path cannot reconstruct.  The workload is not
+    generated: wave 0 already holds it, datasets and target sites included,
+    so a trace-backed pack restores without its trace file.  Returns
+    ``None`` for blobs without scenario provenance
+    (``SimulationSession.restore`` then uses the embedded simulator
+    configuration).
     """
     extra = payload.get("extra") or {}
     if not (isinstance(extra, dict) and extra.get("scenario_pack")):
         return None
-    from repro.scenarios.runner import _build_simulator
+    from repro.scenarios.runner import _simulator_for_jobs
     from repro.scenarios.schema import ScenarioPack
 
     source = extra.get("scenario_source")
     pack = ScenarioPack.from_dict(
         extra["scenario_pack"], source=Path(source) if source else None
     )
+    wave0 = payload["waves"][0]
 
     def factory():
-        return _build_simulator(pack)[0]
+        return _simulator_for_jobs(pack, wave0)
 
     return factory
 
@@ -69,14 +73,14 @@ def restore_session_from_blob(
 ) -> Tuple[object, dict]:
     """Resume a checkpoint blob in *this* process, wherever it was written.
 
-    The cross-process/cross-host resume front door shared by ``cgsim
-    resume`` and the service workers: decode the blob, rebuild a simulator
-    factory from its embedded scenario-pack provenance when present
-    (:func:`session_factory_for_payload`), and hand both to
-    :meth:`~repro.core.session.SimulationSession.restore`, which replays
-    and bit-verifies the state.  Returns ``(session, payload)`` -- the
-    payload gives callers access to ``extra`` provenance without decoding
-    twice.
+    The cross-process/cross-host resume front door shared by ``repro
+    resume``, the service workers and the stack bench: decode the blob
+    once, build a simulator factory from its embedded scenario-pack
+    provenance when present (:func:`session_factory_for_payload`), and
+    restore the session from that payload, which replays and bit-verifies
+    the state.  The payload's wave 0 becomes the session's live jobs.
+    Returns ``(session, payload)`` -- the payload gives callers access to
+    ``extra`` provenance without decoding twice.
 
     ``expected_pack`` guards against resuming the wrong study: when given,
     the blob's embedded pack dict must equal it exactly (overrides
@@ -96,7 +100,7 @@ def restore_session_from_blob(
                 "one being resumed; refusing to replay it"
             )
     factory = session_factory_for_payload(payload)
-    session = SimulationSession.restore(factory, blob, monitoring=monitoring)
+    session = SimulationSession._restore_payload(factory, payload, monitoring=monitoring)
     return session, payload
 
 

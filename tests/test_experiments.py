@@ -297,16 +297,17 @@ class TestBenchRegressionGate:
 
     CEILINGS = {"e2e_ratio_ceiling": 100.0, "dispatch_ratio_ceiling": 160.0,
                 "output_ratio_ceiling": 10.0, "served_ratio_ceiling": 1.9,
-                "sites_ratio_ceiling": 2.0}
+                "sites_ratio_ceiling": 2.0, "restore_ratio_ceiling": 1.2}
 
     @staticmethod
     def current(ratio, output_ratio=6.0, dispatch_ratio=120.0, served_ratio=1.4,
-                sites_ratio=1.5):
+                sites_ratio=1.5, restore_ratio=0.8):
         return {"cpu_count": 64, "scale": 0.05, "rates": {}, "e2e_ratio": {"ratio": ratio},
                 "dispatch_ratio": {"ratio": dispatch_ratio},
                 "output_ratio": {"ratio": output_ratio},
                 "served_ratio": {"ratio": served_ratio},
-                "sites_ratio": {"ratio": sites_ratio}}
+                "sites_ratio": {"ratio": sites_ratio},
+                "restore_ratio": {"ratio": restore_ratio}}
 
     def test_ratio_gate_applies_on_any_machine(self, gate, capsys):
         baseline = {"cpu_count": 1, "scale": 0.05, "rates": {"timeout_churn": 1.0},
@@ -399,6 +400,33 @@ class TestBenchRegressionGate:
         small()
         wide()
         assert seen == [2] * 10 + [6] * 30
+
+    def test_restore_gate_fails_above_its_own_ceiling(self, gate, capsys):
+        """A restore that decodes twice and regenerates the workload it throws
+        away costs more than the cold run: 1.09-1.48 on the parent of this gate."""
+        baseline = {"cpu_count": 1, "scale": 0.05, "rates": {}, **self.CEILINGS}
+        assert gate.compare(self.current(80.0, restore_ratio=1.1), baseline) == 0
+        assert "restore_ratio 1.1 vs ceiling 1.2 ok" in capsys.readouterr().out
+        assert gate.compare(self.current(80.0, restore_ratio=1.3), baseline) == 1
+        err = capsys.readouterr().err
+        assert "restore_ratio 1.3 is above the committed ceiling 1.2" in err
+        assert "e2e_ratio" not in err and "sites_ratio" not in err
+
+    def test_restore_gate_restores_at_half_time_onto_the_cold_fingerprint(
+        self, gate, monkeypatch
+    ):
+        from repro.state import fingerprint_result
+
+        pack = dict(gate.RESTORE_PACK, workload=dict(gate.RESTORE_PACK["workload"], jobs=40))
+        monkeypatch.setattr(gate, "RESTORE_PACK", pack)
+        cold, restore = gate.restore_runs()
+        finished = cold().finalize()
+        ends = sorted(job.end_time for job in finished.jobs)
+        restored = restore()
+        assert restored.now == ends[len(ends) // 2]
+        assert fingerprint_result(restored.advance_to_completion().finalize()) == (
+            fingerprint_result(finished)
+        )
 
     def test_baseline_without_a_ceiling_fails(self, gate, capsys):
         assert gate.compare(self.current(80.0), {"cpu_count": 1, "rates": {}}) == 1

@@ -73,6 +73,9 @@ LIBRARY_ONLY = {
         "SimPy-style kernel primitive; no simulator layer uses a level store",
     "repro.schema.sampler:sample_pack":
         "random schema-conforming packs for the schema property tests",
+    "repro.state.checkpoint:checkpoint_fingerprint":
+        "public content address of a blob (docs/checkpoints.md); fork takes "
+        "the same digest from the payload it already holds",
     "repro.state.protocol:Snapshottable":
         "the checkpoint protocol every snapshottable component implements",
     "repro.utils.jsonpointer:split_pointer":
