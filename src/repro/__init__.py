@@ -44,6 +44,40 @@ Quickstart
 """
 
 import importlib
+import sys
+
+
+def lazy_exports(package, exports, submodules=()):
+    """PEP 562 hooks that import a package's public names on first use.
+
+    ``exports`` maps each module to the names the package re-exports from
+    it; ``submodules`` are further children reachable as attributes, on top
+    of the direct children ``exports`` names.  Returns ``(__getattr__,
+    __dir__)`` for the package to bind at module level.  A resolved value is
+    cached in the package's namespace, so each name costs one lookup.
+    """
+    module_of = {name: module for module, names in exports.items() for name in names}
+    children = frozenset(submodules) | {
+        module.rpartition(".")[2] for module in exports if module.rpartition(".")[0] == package
+    }
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name):
+        module = module_of.get(name)
+        if module is not None:
+            value = getattr(importlib.import_module(module), name)
+        elif name in children:
+            value = importlib.import_module(f"{package}.{name}")
+        else:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(module_of) | children)
+
+    return __getattr__, __dir__
+
 
 #: Where each public name lives.  Nothing is imported until a name is first
 #: used (PEP 562), so ``import repro.des`` pays for the kernel alone.
@@ -93,8 +127,6 @@ _EXPORTS = {
         "run_scenario_pack",
     ),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
 #: Subpackages reachable as attributes (``repro.core``) without an import.
 _SUBPACKAGES = frozenset(
     {
@@ -186,17 +218,4 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    module = _MODULE_OF.get(name)
-    if module is not None:
-        value = getattr(importlib.import_module(module), name)
-    elif name in _SUBPACKAGES:
-        value = importlib.import_module(f"{__name__}.{name}")
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_MODULE_OF) | _SUBPACKAGES)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, _SUBPACKAGES)

@@ -40,10 +40,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import __version__
-from repro.analysis.reporting import format_table, metrics_table, site_table, transition_table
-from repro.atlas.wlcg import wlcg_grid
-from repro.calibration import GridCalibrator
-from repro.calibration.sensitivity import SensitivityAnalysis
 from repro.config import (
     ExecutionConfig,
     load_execution,
@@ -53,13 +49,7 @@ from repro.config import (
     save_infrastructure,
     save_topology,
 )
-from repro.config.generators import generate_grid
-from repro.core.simulator import Simulator
-from repro.monitoring.dashboard import Dashboard
-from repro.plugins import available_policies
 from repro.utils.errors import CGSimError
-from repro.workload.generator import SyntheticWorkloadGenerator
-from repro.workload.trace import load_trace, save_trace
 
 __all__ = ["main", "build_parser"]
 
@@ -479,6 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate_config(args: argparse.Namespace) -> int:
+    from repro.atlas.wlcg import wlcg_grid
+    from repro.config.generators import generate_grid
+
     if args.kind == "wlcg":
         infrastructure, topology = wlcg_grid(site_count=args.sites)
     else:
@@ -495,6 +488,9 @@ def _cmd_generate_config(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate_trace(args: argparse.Namespace) -> int:
+    from repro.workload.generator import SyntheticWorkloadGenerator
+    from repro.workload.trace import save_trace
+
     infrastructure = load_infrastructure(args.infrastructure)
     generator = SyntheticWorkloadGenerator(infrastructure, seed=args.seed)
     jobs = generator.generate(args.jobs)
@@ -567,6 +563,9 @@ def _drive_session(args: argparse.Namespace, session, extra=None) -> None:
 
 def _report_run(args: argparse.Namespace, session, result) -> None:
     """Print the standard post-run report (metrics, pause note, breakdowns)."""
+    from repro.analysis.reporting import metrics_table, site_table, transition_table
+    from repro.monitoring.dashboard import Dashboard
+
     print(metrics_table(result.metrics))
     if args.until is not None and not session.done:
         print()
@@ -589,6 +588,9 @@ def _report_run(args: argparse.Namespace, session, result) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.core.simulator import Simulator
+    from repro.workload.trace import load_trace
+
     infrastructure = load_infrastructure(args.infrastructure)
     topology = load_topology(args.topology)
     execution = load_execution(args.execution)
@@ -638,6 +640,10 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import format_table
+    from repro.calibration import GridCalibrator
+    from repro.workload.trace import load_trace
+
     infrastructure = load_infrastructure(args.infrastructure)
     jobs = load_trace(args.trace)
     calibrator = GridCalibrator(
@@ -660,6 +666,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import format_table
+    from repro.calibration.sensitivity import SensitivityAnalysis
+    from repro.workload.trace import load_trace
+
     infrastructure = load_infrastructure(args.infrastructure)
     jobs = load_trace(args.trace)
     site_name = args.site
@@ -685,6 +695,11 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare_policies(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import format_table
+    from repro.core.simulator import Simulator
+    from repro.plugins import available_policies
+    from repro.workload.trace import load_trace
+
     infrastructure = load_infrastructure(args.infrastructure)
     topology = load_topology(args.topology)
     jobs = load_trace(args.trace)
@@ -792,6 +807,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import format_table
     from repro.experiments.bench import (
         profile_callable,
         profile_flat,
@@ -866,6 +882,7 @@ def _parse_overrides(pairs: List[str]) -> dict:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import format_table
     from repro.scenarios import run_scenario_pack
     from repro.scenarios.registry import default_registry
 

@@ -18,19 +18,24 @@ helpers in :mod:`repro.config.loaders`, and synthetic generators in
 size.
 """
 
-from repro.config.execution import ExecutionConfig, MonitoringConfig, OutputConfig
-from repro.config.infrastructure import InfrastructureConfig, SiteConfig
-from repro.config.loaders import (
-    load_execution,
-    load_infrastructure,
-    load_simulation_inputs,
-    load_topology,
-    read_structured_file,
-    save_execution,
-    save_infrastructure,
-    save_topology,
-)
-from repro.config.topology import LinkConfig, TopologyConfig
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.config.execution import ExecutionConfig, MonitoringConfig, OutputConfig
+    from repro.config.infrastructure import InfrastructureConfig, SiteConfig
+    from repro.config.loaders import (
+        load_execution,
+        load_infrastructure,
+        load_simulation_inputs,
+        load_topology,
+        read_structured_file,
+        save_execution,
+        save_infrastructure,
+        save_topology,
+    )
+    from repro.config.topology import LinkConfig, TopologyConfig
 
 __all__ = [
     "SiteConfig",
@@ -49,3 +54,22 @@ __all__ = [
     "save_topology",
     "save_execution",
 ]
+
+#: Where each public name lives; it is imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.config.execution": ("ExecutionConfig", "MonitoringConfig", "OutputConfig"),
+    "repro.config.infrastructure": ("InfrastructureConfig", "SiteConfig"),
+    "repro.config.loaders": (
+        "load_execution",
+        "load_infrastructure",
+        "load_simulation_inputs",
+        "load_topology",
+        "read_structured_file",
+        "save_execution",
+        "save_infrastructure",
+        "save_topology",
+    ),
+    "repro.config.topology": ("LinkConfig", "TopologyConfig"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

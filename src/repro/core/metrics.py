@@ -122,7 +122,19 @@ def _safe_mean(values: List[float]) -> float:
 
 
 def _safe_median(values: List[float]) -> float:
-    return float(np.median(values)) if values else 0.0
+    """``np.median(values)``, bit for bit on finite floats; 0.0 when empty.
+
+    The middle element, or ``(a + b) / 2`` of the two middle ones, which is
+    the mean ``np.median`` takes.  Sorting in Python spares the first call
+    ``np.median``'s import of ``numpy.ma``.
+    """
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[middle])
+    return float((ordered[middle - 1] + ordered[middle]) / 2)
 
 
 def event_state_counts(collector: "MonitoringCollector") -> Dict[str, int]:

@@ -18,8 +18,13 @@ main server optionally retries failed jobs (``ExecutionConfig.max_retries``),
 mirroring PanDA's automatic resubmission behaviour.
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.models import JobFailureModel, OutageWindow, SiteOutageModel
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector
+    from repro.faults.models import JobFailureModel, OutageWindow, SiteOutageModel
 
 __all__ = [
     "JobFailureModel",
@@ -27,3 +32,11 @@ __all__ = [
     "OutageWindow",
     "FaultInjector",
 ]
+
+#: Where each public name lives; it is imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.faults.injector": ("FaultInjector",),
+    "repro.faults.models": ("JobFailureModel", "OutageWindow", "SiteOutageModel"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -16,17 +16,22 @@ dataset that doubles as ML training data.
   per-site load (the reproduction of the web dashboard in Figure 5).
 """
 
-from repro.monitoring.collector import MonitoringCollector
-from repro.monitoring.csv_export import (
-    CSVSink,
-    export_events_csv,
-    export_jobs_csv,
-    export_snapshots_csv,
-)
-from repro.monitoring.dashboard import Dashboard
-from repro.monitoring.events import EventRecord, SiteSnapshot
-from repro.monitoring.sqlite_store import SQLiteStore
-from repro.monitoring.trace_buffer import TraceBuffer
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.monitoring.collector import MonitoringCollector
+    from repro.monitoring.csv_export import (
+        CSVSink,
+        export_events_csv,
+        export_jobs_csv,
+        export_snapshots_csv,
+    )
+    from repro.monitoring.dashboard import Dashboard
+    from repro.monitoring.events import EventRecord, SiteSnapshot
+    from repro.monitoring.sqlite_store import SQLiteStore
+    from repro.monitoring.trace_buffer import TraceBuffer
 
 __all__ = [
     "EventRecord",
@@ -40,3 +45,20 @@ __all__ = [
     "export_snapshots_csv",
     "Dashboard",
 ]
+
+#: Where each public name lives; it is imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.monitoring.collector": ("MonitoringCollector",),
+    "repro.monitoring.csv_export": (
+        "CSVSink",
+        "export_events_csv",
+        "export_jobs_csv",
+        "export_snapshots_csv",
+    ),
+    "repro.monitoring.dashboard": ("Dashboard",),
+    "repro.monitoring.events": ("EventRecord", "SiteSnapshot"),
+    "repro.monitoring.sqlite_store": ("SQLiteStore",),
+    "repro.monitoring.trace_buffer": ("TraceBuffer",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

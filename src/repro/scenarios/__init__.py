@@ -27,32 +27,37 @@ Quickstart
 True
 """
 
-from repro.scenarios.loader import load_scenario_pack, save_scenario_pack
-from repro.scenarios.registry import (
-    ScenarioRegistry,
-    add_scenario_directory,
-    available_scenario_packs,
-    get_scenario_pack,
-    register_scenario_pack,
-)
-from repro.scenarios.runner import (
-    ScenarioOutcome,
-    execute_scenario_spec,
-    run_scenario_pack,
-    sweep_specs,
-)
-from repro.scenarios.schema import (
-    CacheSection,
-    CalibrationSection,
-    DataSection,
-    FaultsSection,
-    GridSection,
-    ScenarioPack,
-    SweepSection,
-    WorkloadSection,
-    apply_override,
-    apply_overrides,
-)
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.scenarios.loader import load_scenario_pack, save_scenario_pack
+    from repro.scenarios.registry import (
+        ScenarioRegistry,
+        add_scenario_directory,
+        available_scenario_packs,
+        get_scenario_pack,
+        register_scenario_pack,
+    )
+    from repro.scenarios.runner import (
+        ScenarioOutcome,
+        execute_scenario_spec,
+        run_scenario_pack,
+        sweep_specs,
+    )
+    from repro.scenarios.schema import (
+        CacheSection,
+        CalibrationSection,
+        DataSection,
+        FaultsSection,
+        GridSection,
+        ScenarioPack,
+        SweepSection,
+        WorkloadSection,
+        apply_override,
+        apply_overrides,
+    )
 
 __all__ = [
     # schema
@@ -81,3 +86,35 @@ __all__ = [
     "sweep_specs",
     "execute_scenario_spec",
 ]
+
+#: Where each public name lives; it is imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.scenarios.loader": ("load_scenario_pack", "save_scenario_pack"),
+    "repro.scenarios.registry": (
+        "ScenarioRegistry",
+        "add_scenario_directory",
+        "available_scenario_packs",
+        "get_scenario_pack",
+        "register_scenario_pack",
+    ),
+    "repro.scenarios.runner": (
+        "ScenarioOutcome",
+        "execute_scenario_spec",
+        "run_scenario_pack",
+        "sweep_specs",
+    ),
+    "repro.scenarios.schema": (
+        "CacheSection",
+        "CalibrationSection",
+        "DataSection",
+        "FaultsSection",
+        "GridSection",
+        "ScenarioPack",
+        "SweepSection",
+        "WorkloadSection",
+        "apply_override",
+        "apply_overrides",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

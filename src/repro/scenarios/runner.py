@@ -24,17 +24,20 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.metrics import SimulationMetrics
 from repro.core.session import SimulationSession
 from repro.core.simulator import SimulationResult, Simulator
-from repro.experiments.runner import SweepResult, SweepRunner
-from repro.experiments.spec import RunResult, RunSpec
 from repro.scenarios.schema import ScenarioPack, apply_overrides
 from repro.utils.errors import CGSimError
 from repro.utils.rng import derive_seed
 from repro.workload.job import JobState
+
+if TYPE_CHECKING:
+    # Sweeps alone use these; a single run or a served session never does.
+    from repro.experiments.runner import SweepResult
+    from repro.experiments.spec import RunResult, RunSpec
 
 __all__ = ["ScenarioOutcome", "run_scenario_pack", "sweep_specs", "execute_scenario_spec"]
 
@@ -354,6 +357,8 @@ def execute_scenario_spec(spec: RunSpec) -> RunResult:
     everything from that data, so a run's outcome depends only on its spec
     (the determinism contract of :mod:`repro.experiments`).
     """
+    from repro.experiments.spec import RunResult
+
     started = time.perf_counter()
     try:
         source = Path(spec.params["source"]) if spec.params.get("source") else None
@@ -423,6 +428,8 @@ def sweep_specs(
     its own :func:`_spec_checkpoint_dir` subdirectory, making interrupted
     sweeps crash-resumable run by run.
     """
+    from repro.experiments.spec import RunSpec
+
     if pack.sweep is None:
         raise CGSimError(f"scenario pack {pack.name!r} declares no sweep section")
     pack_dict = pack.to_dict()
@@ -665,6 +672,8 @@ def run_scenario_pack(
         )
 
     if pack.sweep is not None:
+        from repro.experiments.runner import SweepRunner
+
         n_workers = pack.sweep.workers if workers is None else workers
         runner = SweepRunner(run_fn=execute_scenario_spec, n_workers=n_workers or None)
         sweep = runner.run(

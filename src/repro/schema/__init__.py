@@ -25,15 +25,20 @@ This package pins that surface as a machine-readable contract:
   Hypothesis round-trip property tests).
 """
 
-from repro.schema.generator import (
-    SCHEMA_VERSION,
-    build_schema,
-    dataclass_schema,
-    schema_json,
-    schema_path,
-)
-from repro.schema.sampler import sample_pack
-from repro.schema.validator import SchemaError, validate_instance, validate_pack_dict
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.schema.generator import (
+        SCHEMA_VERSION,
+        build_schema,
+        dataclass_schema,
+        schema_json,
+        schema_path,
+    )
+    from repro.schema.sampler import sample_pack
+    from repro.schema.validator import SchemaError, validate_instance, validate_pack_dict
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -46,3 +51,18 @@ __all__ = [
     "validate_pack_dict",
     "sample_pack",
 ]
+
+#: Where each public name lives; it is imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.schema.generator": (
+        "SCHEMA_VERSION",
+        "build_schema",
+        "dataclass_schema",
+        "schema_json",
+        "schema_path",
+    ),
+    "repro.schema.sampler": ("sample_pack",),
+    "repro.schema.validator": ("SchemaError", "validate_instance", "validate_pack_dict"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,27 +23,32 @@ itself; ``docs/service.md`` embeds the generated WebSocket message
 reference.
 """
 
-from repro.service.client import ServiceClient
-from repro.service.harness import ServiceUnderTest, tiny_pack
-from repro.service.models import (
-    SESSION_STATES,
-    WS_MESSAGE_TYPES,
-    CheckpointMessage,
-    ErrorMessage,
-    ProgressMessage,
-    ResultMessage,
-    ServiceError,
-    SessionView,
-    StateMessage,
-    SubmitRequest,
-    WsMessage,
-    parse_ws_message,
-    ws_message_reference,
-)
-from repro.service.queue import JobQueue, JobRecord
-from repro.service.server import ServiceConfig, ServiceServer
-from repro.service.store import ArtifactError, ArtifactStore
-from repro.service.supervisor import WorkerSupervisor
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.client import ServiceClient
+    from repro.service.harness import ServiceUnderTest, tiny_pack
+    from repro.service.models import (
+        SESSION_STATES,
+        WS_MESSAGE_TYPES,
+        CheckpointMessage,
+        ErrorMessage,
+        ProgressMessage,
+        ResultMessage,
+        ServiceError,
+        SessionView,
+        StateMessage,
+        SubmitRequest,
+        WsMessage,
+        parse_ws_message,
+        ws_message_reference,
+    )
+    from repro.service.queue import JobQueue, JobRecord
+    from repro.service.server import ServiceConfig, ServiceServer
+    from repro.service.store import ArtifactError, ArtifactStore
+    from repro.service.supervisor import WorkerSupervisor
 
 __all__ = [
     "ServiceServer",
@@ -70,3 +75,30 @@ __all__ = [
     "ArtifactStore",
     "ArtifactError",
 ]
+
+#: Where each public name lives; it is imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.service.client": ("ServiceClient",),
+    "repro.service.harness": ("ServiceUnderTest", "tiny_pack"),
+    "repro.service.models": (
+        "SESSION_STATES",
+        "WS_MESSAGE_TYPES",
+        "CheckpointMessage",
+        "ErrorMessage",
+        "ProgressMessage",
+        "ResultMessage",
+        "ServiceError",
+        "SessionView",
+        "StateMessage",
+        "SubmitRequest",
+        "WsMessage",
+        "parse_ws_message",
+        "ws_message_reference",
+    ),
+    "repro.service.queue": ("JobQueue", "JobRecord"),
+    "repro.service.server": ("ServiceConfig", "ServiceServer"),
+    "repro.service.store": ("ArtifactError", "ArtifactStore"),
+    "repro.service.supervisor": ("WorkerSupervisor",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,6 +19,7 @@ threads inside the simulation.
 
 from __future__ import annotations
 
+import importlib
 import os
 import signal
 import traceback
@@ -31,6 +32,21 @@ __all__ = ["worker_main", "DEFAULT_CHECKPOINT_EVERY"]
 #: Default chunk length (simulated seconds) between checkpoints when neither
 #: the submit request nor the server configuration chose one.
 DEFAULT_CHECKPOINT_EVERY = 3600.0
+
+#: The session path of every pack kind, imported before ``worker-online`` so
+#: that online means ready: no session imports anything, not even the first
+#: after a boot or a respawn.  Nothing else is loaded: a worker never runs
+#: the server, the client, sweeps, calibration or the schema validator.
+SESSION_PATH = (
+    "numpy.random",  # every seeded stream (repro.utils.rng)
+    "repro.scenarios.runner",  # pack -> simulator; synthetic workloads
+    "repro.config.generators",  # synthetic grids
+    "repro.atlas",  # WLCG grids, panda workloads, dataset catalogues
+    "repro.workload.trace",  # trace workloads
+    "repro.data",  # data and cache sections
+    "repro.faults.injector",  # fault sections
+    "repro.state",  # checkpoints, restores and result fingerprints
+)
 
 
 def worker_main(worker_id: int, cmd_conn, event_conn, store_root: str) -> None:
@@ -49,11 +65,7 @@ def worker_main(worker_id: int, cmd_conn, event_conn, store_root: str) -> None:
     # ignore SIGINT here exactly like multiprocessing.Pool workers do.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     store = ArtifactStore(store_root)
-    # "Online" means ready to run: import the session path now, so the first
-    # session after a boot or a respawn does not pay for it.
-    import repro.scenarios.runner  # noqa: F401
-    import repro.state  # noqa: F401
-
+    load_session_path()
     _send(event_conn, {"type": "worker-online", "worker": worker_id, "pid": os.getpid()})
     while True:
         try:
@@ -69,6 +81,12 @@ def worker_main(worker_id: int, cmd_conn, event_conn, store_root: str) -> None:
         if outcome == "shutdown":
             break
         _send(event_conn, {"type": "idle", "worker": worker_id})
+
+
+def load_session_path() -> None:
+    """Import :data:`SESSION_PATH`: what a worker does before it is online."""
+    for module in SESSION_PATH:
+        importlib.import_module(module)
 
 
 def _send(conn, event: Dict[str, Any]) -> None:

@@ -14,23 +14,28 @@ code base:
   subpackages.
 """
 
-from repro.utils.errors import (
-    CGSimError,
-    ConfigurationError,
-    PlatformError,
-    SchedulingError,
-    SimulationError,
-    WorkloadError,
-)
-from repro.utils.rng import RandomSource, derive_seed, spawn_rng
-from repro.utils.units import (
-    format_bytes,
-    format_duration,
-    parse_bandwidth,
-    parse_bytes,
-    parse_duration,
-    parse_frequency,
-)
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.utils.errors import (
+        CGSimError,
+        ConfigurationError,
+        PlatformError,
+        SchedulingError,
+        SimulationError,
+        WorkloadError,
+    )
+    from repro.utils.rng import RandomSource, derive_seed, spawn_rng
+    from repro.utils.units import (
+        format_bytes,
+        format_duration,
+        parse_bandwidth,
+        parse_bytes,
+        parse_duration,
+        parse_frequency,
+    )
 
 __all__ = [
     "CGSimError",
@@ -49,3 +54,26 @@ __all__ = [
     "parse_duration",
     "parse_frequency",
 ]
+
+#: Where each public name lives; it is imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.utils.errors": (
+        "CGSimError",
+        "ConfigurationError",
+        "PlatformError",
+        "SchedulingError",
+        "SimulationError",
+        "WorkloadError",
+    ),
+    "repro.utils.rng": ("RandomSource", "derive_seed", "spawn_rng"),
+    "repro.utils.units": (
+        "format_bytes",
+        "format_duration",
+        "parse_bandwidth",
+        "parse_bytes",
+        "parse_duration",
+        "parse_frequency",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,21 +17,26 @@ not available:
   scores used to configure realistic site speeds.
 """
 
-from repro.workload.generator import SyntheticWorkloadGenerator, WorkloadSpec
-from repro.workload.hepscore import hepscore_speed, site_benchmark_table
-from repro.workload.job import Job, JobState
-from repro.workload.patterns import (
-    burst_arrivals,
-    constant_arrivals,
-    diurnal_arrivals,
-    poisson_arrivals,
-)
-from repro.workload.trace import (
-    jobs_from_records,
-    load_trace,
-    records_from_jobs,
-    save_trace,
-)
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workload.generator import SyntheticWorkloadGenerator, WorkloadSpec
+    from repro.workload.hepscore import hepscore_speed, site_benchmark_table
+    from repro.workload.job import Job, JobState
+    from repro.workload.patterns import (
+        burst_arrivals,
+        constant_arrivals,
+        diurnal_arrivals,
+        poisson_arrivals,
+    )
+    from repro.workload.trace import (
+        jobs_from_records,
+        load_trace,
+        records_from_jobs,
+        save_trace,
+    )
 
 __all__ = [
     "Job",
@@ -49,3 +54,19 @@ __all__ = [
     "hepscore_speed",
     "site_benchmark_table",
 ]
+
+#: Where each public name lives; it is imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.workload.generator": ("SyntheticWorkloadGenerator", "WorkloadSpec"),
+    "repro.workload.hepscore": ("hepscore_speed", "site_benchmark_table"),
+    "repro.workload.job": ("Job", "JobState"),
+    "repro.workload.patterns": (
+        "burst_arrivals",
+        "constant_arrivals",
+        "diurnal_arrivals",
+        "poisson_arrivals",
+    ),
+    "repro.workload.trace": ("jobs_from_records", "load_trace", "records_from_jobs", "save_trace"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.execution import ExecutionConfig, MonitoringConfig
 from repro.config.generators import generate_grid
-from repro.core.metrics import compute_metrics
+from repro.core.metrics import _safe_median, compute_metrics
 from repro.core.simulator import Simulator
 from repro.workload.generator import SyntheticWorkloadGenerator, WorkloadSpec
 from repro.workload.job import JobState
@@ -144,3 +145,21 @@ class TestSimulationConservation:
             return stream
 
         assert normalized(first) == normalized(second)
+
+
+#: Finite floats, with ``-0.0`` folded into ``0.0`` (a sort and a partition
+#: may order the two zeros differently) and magnitudes that cannot overflow
+#: the sum of the two middle values.
+finite = st.floats(min_value=-1e300, max_value=1e300).map(lambda x: x + 0.0)
+
+
+class TestSafeMedian:
+    @given(st.integers(min_value=0, max_value=30), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy_median_bit_for_bit(self, half, data):
+        for size in (2 * half + 1, 2 * half + 2):  # one odd, one even length
+            values = data.draw(st.lists(finite, min_size=size, max_size=size))
+            assert _safe_median(values).hex() == float(np.median(values)).hex()
+
+    def test_an_empty_list_has_median_zero(self):
+        assert _safe_median([]) == 0.0
