@@ -25,7 +25,9 @@ a session costs on top of simulating it.  A fifth holds site-count scaling
 over those of a 10-site one, same jobs per site, both from the same run.  A
 sixth holds recovery: one ``restore_session_from_blob`` of a ``replay_batch``
 run frozen at the time half its jobs had ended by, over that run's cold setup
-and advance.  They run on every machine.
+and advance.  A seventh holds workload generation: microseconds per job of
+``SyntheticWorkloadGenerator.generate`` on a fixed 8-site grid over
+``timeout_churn`` microseconds per event.  They run on every machine.
 
 Usage::
 
@@ -100,6 +102,9 @@ RESTORE_PACK = {
 #: Each of the ``--repeat`` samples of the restore gate is the best of this
 #: many cold runs and restores, interleaved.
 RESTORE_RUNS = 3
+#: Fixed shape of the generation gate, the ``replay_batch`` workload of
+#: ``benchmarks/stack``: ``(synthetic sites, jobs)``, default spec, all at t=0.
+GENERATE_SHAPE = (8, 5000)
 #: Headroom ``--write-baseline`` puts between a measured ratio and its ceiling.
 RATIO_HEADROOM = 0.35
 #: The ratio gates: measurement key -> (ceiling key, what got slower).
@@ -124,6 +129,10 @@ RATIO_GATES = {
     "restore_ratio": (
         "restore_ratio_ceiling",
         "a restore at t_half got dearer relative to the cold run",
+    ),
+    "generate_ratio": (
+        "generate_ratio_ceiling",
+        "generating a job got slower relative to the kernel",
     ),
 }
 
@@ -258,6 +267,22 @@ def sites_runs():
     return [grid_run(site_count) for site_count in grids]
 
 
+def generate_run():
+    """The generation gate's call: draws the ``GENERATE_SHAPE`` workload once."""
+    from repro.config.generators import generate_grid
+    from repro.workload.generator import SyntheticWorkloadGenerator
+
+    sites, job_count = GENERATE_SHAPE
+    infrastructure, _ = generate_grid(sites, seed=1)
+
+    def run() -> None:
+        jobs = SyntheticWorkloadGenerator(infrastructure, seed=7).generate(job_count)
+        if len(jobs) != job_count:
+            raise RuntimeError(f"generation drew {len(jobs)} of {job_count} jobs")
+
+    return run
+
+
 def synthetic_run():
     """A finished monitored run of ``OUTPUT_SHAPE``: ``(collector, jobs)``."""
     from repro.monitoring import MonitoringCollector, SiteSnapshot
@@ -309,8 +334,8 @@ def write_outputs(collector, jobs, directory: Path) -> int:
 def measure_ratios(repeat: int) -> dict:
     """Stack and dispatch us/job and output us/row over kernel us/event, the
     served session over the plain one, wide-grid us/job over small-grid
-    us/job, and a restore at t_half over the cold run: best of ``repeat``
-    interleaved runs."""
+    us/job, a restore at t_half over the cold run, and generation us/job over
+    kernel us/event: best of ``repeat`` interleaved runs."""
     import gc
 
     from repro.experiments.bench import grid_end_to_end, timeout_churn
@@ -326,9 +351,10 @@ def measure_ratios(repeat: int) -> dict:
     plain, served = served_runs()
     small, wide = sites_runs()
     cold, restore = restore_runs()
+    generate = generate_run()
     rows = 0
     job_s = dispatch_s = row_s = event_s = plain_s = served_s = float("inf")
-    small_s = wide_s = cold_s = restore_s = float("inf")
+    small_s = wide_s = cold_s = restore_s = generate_s = float("inf")
     for _ in range(max(1, repeat)):
         job_s = min(job_s, seconds(grid_end_to_end, E2E_JOBS))
         dispatch_s = min(dispatch_s, seconds(dispatch))
@@ -339,6 +365,7 @@ def measure_ratios(repeat: int) -> dict:
             rows = write_outputs(collector, jobs, Path(directory))
             row_s = min(row_s, time.perf_counter() - started)
         event_s = min(event_s, seconds(timeout_churn, *CHURN_ARGS))
+        generate_s = min(generate_s, seconds(generate))
         with tempfile.TemporaryDirectory() as directory:
             for _ in range(SERVED_RUNS):
                 plain_s = min(plain_s, seconds(plain))
@@ -360,6 +387,7 @@ def measure_ratios(repeat: int) -> dict:
     small_sites, wide_sites, per_site = SITES_SHAPE
     us_small = small_s / (small_sites * per_site) * 1e6
     us_wide = wide_s / (wide_sites * per_site) * 1e6
+    us_generate = generate_s / GENERATE_SHAPE[1] * 1e6
     return {
         "e2e_ratio": {
             "jobs": E2E_JOBS,
@@ -396,6 +424,12 @@ def measure_ratios(repeat: int) -> dict:
             "cold_ms": round(cold_s * 1e3, 2),
             "restore_ms": round(restore_s * 1e3, 2),
             "ratio": round(restore_s / cold_s, 2),
+        },
+        "generate_ratio": {
+            "jobs": GENERATE_SHAPE[1],
+            "us_per_job": round(us_generate, 2),
+            "us_per_event": round(us_per_event, 4),
+            "ratio": round(us_generate / us_per_event, 1),
         },
     }
 
@@ -534,6 +568,13 @@ def main() -> int:
         f"  restore at t_half: {recovery['restore_ms']:.1f} ms over a cold run of "
         f"{recovery['cold_ms']:.1f} ms ({recovery['jobs']} jobs, replay_batch shape) "
         f"= ratio {recovery['ratio']:.2f}"
+    )
+
+    generation = current["generate_ratio"]
+    print(
+        f"  generate: {generation['us_per_job']:.2f} us/job ({generation['jobs']} jobs on "
+        f"{GENERATE_SHAPE[0]} sites) over timeout_churn {generation['us_per_event']:.3f} "
+        f"us/event = ratio {generation['ratio']:.1f}"
     )
 
     if args.write_baseline:

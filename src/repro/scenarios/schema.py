@@ -297,7 +297,7 @@ _OUTAGE_MODEL = {
     "type": "object",
     "description": doc_summary(SiteOutageModel),
     "additionalProperties": False,
-    "required": ["horizon"],
+    "required": ["mean_time_between_failures", "mean_time_to_repair", "horizon"],
     "properties": {
         "mean_time_between_failures": quantity_schema(
             "duration", exclusive_minimum=0, description="MTBF per site."),
@@ -355,8 +355,9 @@ class FaultsSection(_Section):
             return
         model_ctx = child(ctx, "outage_model", "outage_model")
         reject_unknown(self.outage_model, _OUTAGE_MODEL["properties"], model_ctx)
-        if "horizon" not in self.outage_model:
-            fail(ctx, "outage_model requires 'horizon'", "outage_model", "horizon")
+        for key in _OUTAGE_MODEL["required"]:
+            if key not in self.outage_model:
+                fail(ctx, f"outage_model requires {key!r}", "outage_model", key)
         with errors_under(model_ctx):
             self._site_outage_model()
             horizon = parse_duration(self.outage_model["horizon"])

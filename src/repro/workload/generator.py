@@ -21,7 +21,7 @@ Everything is deterministic for a given seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,53 +158,104 @@ class SyntheticWorkloadGenerator:
         site = self.infrastructure.site(site_name)
         return site.core_speed * self.true_speed_bias[site_name]
 
-    def _draw_walltime(self, gen: np.random.Generator, cores: int) -> float:
-        median = self.spec.walltime_median
-        if cores > 1:
-            median *= self.spec.multicore_walltime_factor
-        return float(gen.lognormal(np.log(median), self.spec.walltime_sigma))
+    def _arrivals(self, count: int, start_time: float) -> List[float]:
+        if self.spec.arrival_rate is None:
+            return [start_time] * count
+        return poisson_arrivals(count, self.spec.arrival_rate, start=start_time, seed=self.seed)
 
-    def _make_job(
+    def _draw_jobs(
         self,
         gen: np.random.Generator,
-        site_name: str,
-        submission_time: float,
-        task_id: Optional[int],
-    ) -> Job:
-        multicore = gen.uniform() < self.spec.multicore_fraction
-        cores = self.spec.multicore_cores if multicore else 1
-        true_walltime = self._draw_walltime(gen, cores)
-        # The job's work is defined by how long it *actually* took on the
-        # site's true hardware (work = walltime * true_speed * cores), up to a
-        # per-job noise factor that no single-parameter calibration can
-        # remove -- this is what leaves the residual error after calibration.
-        noise = 1.0
-        if self.spec.walltime_noise_sigma > 0:
-            noise = float(gen.lognormal(0.0, self.spec.walltime_noise_sigma))
-        work = true_walltime * self.true_core_speed(site_name) * cores * noise
-        input_files = int(gen.poisson(self.spec.mean_input_files))
-        output_files = int(gen.poisson(self.spec.mean_output_files))
-        input_size = float(
-            sum(gen.lognormal(np.log(self.spec.mean_file_size), 0.8) for _ in range(input_files))
+        targets: Sequence[Tuple[str, float]],
+        arrivals: Sequence[float],
+        trace_indices: Iterable[object],
+    ) -> List[Job]:
+        """One job per ``(site name, true core speed)`` target, drawn in order.
+
+        Each job takes its draws from ``gen`` in a fixed order -- multicore
+        coin, walltime, noise, file counts, input sizes, output sizes, queue
+        time -- so a job's values depend only on the stream position it
+        starts at.  A job's input (and output) file sizes are one call: a
+        ``size=n`` draw yields the same bits as ``n`` scalar draws, and is the
+        cheaper call from two files up.  They are added left to right, as
+        the scalar draws were (``ndarray.sum`` adds pairwise and rounds
+        differently once ``n >= 8``).  Batching draws *across* jobs would
+        reorder the stream, so it is not done.
+        """
+        spec = self.spec
+        coin, lognormal, poisson, exponential = (
+            gen.random, gen.lognormal, gen.poisson, gen.exponential
         )
-        output_size = float(
-            sum(gen.lognormal(np.log(self.spec.mean_file_size), 0.8) for _ in range(output_files))
-        )
-        queue_time = float(gen.exponential(900.0))
-        return Job(
-            work=work,
-            cores=cores,
-            memory=self.spec.memory_per_core * cores,
-            submission_time=submission_time,
-            input_files=input_files,
-            output_files=output_files,
-            input_size=input_size,
-            output_size=output_size,
-            target_site=site_name,
-            true_walltime=true_walltime,
-            true_queue_time=queue_time,
-            task_id=task_id,
-        )
+        multicore_fraction = spec.multicore_fraction
+        multicore_cores = spec.multicore_cores
+        single_mu = np.log(spec.walltime_median)
+        multi_mu = np.log(spec.walltime_median * spec.multicore_walltime_factor)
+        walltime_sigma = spec.walltime_sigma
+        noise_sigma = spec.walltime_noise_sigma
+        mean_input_files = spec.mean_input_files
+        mean_output_files = spec.mean_output_files
+        memory_per_core = spec.memory_per_core
+        # Taken at the first drawn file: np.log(0) warns, and a spec with a
+        # zero mean file size and zero mean file counts never draws one.
+        size_mu = None
+
+        def file_sizes(n: int) -> float:
+            nonlocal size_mu
+            if not n:
+                return 0.0
+            if size_mu is None:
+                size_mu = np.log(spec.mean_file_size)
+            if n == 1:
+                return float(lognormal(size_mu, 0.8))
+            # An explicit loop, not sum(): from CPython 3.12 on, sum() of
+            # Python floats compensates its rounding and so differs from
+            # the left-to-right adds of the scalar draws in the last bits.
+            total = 0.0
+            for size in lognormal(size_mu, 0.8, n).tolist():
+                total += size
+            return total
+
+        jobs: List[Job] = []
+        append = jobs.append
+        for (site_name, true_speed), submission_time, trace_index in zip(
+            targets, arrivals, trace_indices
+        ):
+            # random() is uniform() on [0, 1): the same draw, the same bits.
+            if coin() < multicore_fraction:
+                cores, walltime_mu = multicore_cores, multi_mu
+            else:
+                cores, walltime_mu = 1, single_mu
+            true_walltime = float(lognormal(walltime_mu, walltime_sigma))
+            # The job's work is defined by how long it *actually* took on the
+            # site's true hardware (work = walltime * true_speed * cores), up
+            # to a per-job noise factor that no single-parameter calibration
+            # can remove -- this is what leaves the residual error after
+            # calibration.
+            noise = float(lognormal(0.0, noise_sigma)) if noise_sigma > 0 else 1.0
+            input_files = int(poisson(mean_input_files))
+            output_files = int(poisson(mean_output_files))
+            input_size = file_sizes(input_files)
+            output_size = file_sizes(output_files)
+            append(Job(
+                work=true_walltime * true_speed * cores * noise,
+                cores=cores,
+                memory=memory_per_core * cores,
+                submission_time=submission_time,
+                input_files=input_files,
+                output_files=output_files,
+                input_size=input_size,
+                output_size=output_size,
+                target_site=site_name,
+                true_walltime=true_walltime,
+                true_queue_time=float(exponential(900.0)),
+                # A deterministic identity within the trace: fault models key
+                # their draws on it (plus the attempt number) so that
+                # regenerating the same trace -- in another process, or later
+                # in this one -- reproduces the same injected failures
+                # regardless of the global job-id counter.
+                attributes={"trace_index": trace_index},
+            ))
+        return jobs
 
     # -- public API ------------------------------------------------------------
     def generate(self, count: int, start_time: float = 0.0) -> List[Job]:
@@ -219,23 +270,13 @@ class SyntheticWorkloadGenerator:
         gen = self.rng.generator("jobs")
         site_names = self.infrastructure.site_names
         site_indices = gen.choice(len(site_names), size=count, p=self._site_probabilities)
-        if self.spec.arrival_rate is not None:
-            arrivals = poisson_arrivals(
-                count, self.spec.arrival_rate, start=start_time, seed=self.seed
-            )
-        else:
-            arrivals = [start_time] * count
-        jobs = [
-            self._make_job(gen, site_names[int(site_indices[i])], arrivals[i], task_id=None)
-            for i in range(count)
-        ]
-        # A deterministic identity within the trace: fault models key their
-        # draws on it (plus the attempt number) so that regenerating the same
-        # trace -- in another process, or later in this one -- reproduces the
-        # same injected failures regardless of the global job-id counter.
-        for index, job in enumerate(jobs):
-            job.attributes["trace_index"] = index
-        return jobs
+        sites = [(name, self.true_core_speed(name)) for name in site_names]
+        return self._draw_jobs(
+            gen,
+            [sites[index] for index in site_indices.tolist()],
+            self._arrivals(count, start_time),
+            range(count),
+        )
 
     def generate_for_site(self, site_name: str, count: int, start_time: float = 0.0) -> List[Job]:
         """Generate ``count`` jobs all targeted at one site (calibration input)."""
@@ -244,20 +285,14 @@ class SyntheticWorkloadGenerator:
         if count < 0:
             raise WorkloadError("count must be >= 0")
         gen = self.rng.generator(f"jobs:{site_name}")
-        if self.spec.arrival_rate is not None:
-            arrivals = poisson_arrivals(
-                count, self.spec.arrival_rate, start=start_time, seed=self.seed
-            )
-        else:
-            arrivals = [start_time] * count
-        jobs = [
-            self._make_job(gen, site_name, arrivals[i], task_id=None) for i in range(count)
-        ]
-        # Site-qualified trace identity (see generate()): unique across the
+        # Site-qualified trace identity (see _draw_jobs()): unique across the
         # concatenation generate_per_site() builds.
-        for index, job in enumerate(jobs):
-            job.attributes["trace_index"] = f"{site_name}:{index}"
-        return jobs
+        return self._draw_jobs(
+            gen,
+            [(site_name, self.true_core_speed(site_name))] * count,
+            self._arrivals(count, start_time),
+            [f"{site_name}:{index}" for index in range(count)],
+        )
 
     def generate_per_site(self, jobs_per_site: int, start_time: float = 0.0) -> List[Job]:
         """Generate exactly ``jobs_per_site`` jobs for every site (multi-site scaling)."""

@@ -43,7 +43,7 @@ def poisson_arrivals(
         raise WorkloadError("rate must be positive")
     rng = RandomSource(seed).generator("poisson-arrivals")
     gaps = rng.exponential(1.0 / rate, size=count)
-    return list(start + np.cumsum(gaps))
+    return (start + np.cumsum(gaps)).tolist()
 
 
 def burst_arrivals(

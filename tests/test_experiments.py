@@ -297,17 +297,19 @@ class TestBenchRegressionGate:
 
     CEILINGS = {"e2e_ratio_ceiling": 100.0, "dispatch_ratio_ceiling": 160.0,
                 "output_ratio_ceiling": 10.0, "served_ratio_ceiling": 1.9,
-                "sites_ratio_ceiling": 2.0, "restore_ratio_ceiling": 1.2}
+                "sites_ratio_ceiling": 2.0, "restore_ratio_ceiling": 1.2,
+                "generate_ratio_ceiling": 16.0}
 
     @staticmethod
     def current(ratio, output_ratio=6.0, dispatch_ratio=120.0, served_ratio=1.4,
-                sites_ratio=1.5, restore_ratio=0.8):
+                sites_ratio=1.5, restore_ratio=0.8, generate_ratio=12.0):
         return {"cpu_count": 64, "scale": 0.05, "rates": {}, "e2e_ratio": {"ratio": ratio},
                 "dispatch_ratio": {"ratio": dispatch_ratio},
                 "output_ratio": {"ratio": output_ratio},
                 "served_ratio": {"ratio": served_ratio},
                 "sites_ratio": {"ratio": sites_ratio},
-                "restore_ratio": {"ratio": restore_ratio}}
+                "restore_ratio": {"ratio": restore_ratio},
+                "generate_ratio": {"ratio": generate_ratio}}
 
     def test_ratio_gate_applies_on_any_machine(self, gate, capsys):
         baseline = {"cpu_count": 1, "scale": 0.05, "rates": {"timeout_churn": 1.0},
@@ -427,6 +429,31 @@ class TestBenchRegressionGate:
         assert fingerprint_result(restored.advance_to_completion().finalize()) == (
             fingerprint_result(finished)
         )
+
+    def test_generate_gate_fails_above_its_own_ceiling(self, gate, capsys):
+        """Drawing every file size with its own scalar call, a site lookup and
+        two logs per job read 16.9-20.2 on the parent of this gate."""
+        baseline = {"cpu_count": 1, "scale": 0.05, "rates": {}, **self.CEILINGS}
+        assert gate.compare(self.current(80.0, generate_ratio=15.9), baseline) == 0
+        assert "generate_ratio 15.9 vs ceiling 16.0 ok" in capsys.readouterr().out
+        assert gate.compare(self.current(80.0, generate_ratio=20.1), baseline) == 1
+        err = capsys.readouterr().err
+        assert "generate_ratio 20.1 is above the committed ceiling 16.0" in err
+        assert "e2e_ratio" not in err and "restore_ratio" not in err
+        del baseline["generate_ratio_ceiling"]
+        assert gate.compare(self.current(80.0), baseline) == 1
+        assert "generate_ratio_ceiling" in capsys.readouterr().err
+
+    def test_generate_gate_draws_the_replay_batch_workload(self, gate, monkeypatch):
+        from repro.workload.generator import SyntheticWorkloadGenerator
+
+        drawn = []
+        generate = SyntheticWorkloadGenerator.generate
+        monkeypatch.setattr(SyntheticWorkloadGenerator, "generate", lambda self, count: (
+            drawn.append((len(self.infrastructure), count)), generate(self, count))[1])
+        monkeypatch.setattr(gate, "GENERATE_SHAPE", (3, 25))
+        gate.generate_run()()
+        assert drawn == [(3, 25)]
 
     def test_baseline_without_a_ceiling_fails(self, gate, capsys):
         assert gate.compare(self.current(80.0), {"cpu_count": 1, "rates": {}}) == 1

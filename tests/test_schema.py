@@ -218,6 +218,35 @@ class TestValidatorRejections:
         with pytest.raises(ConfigurationError, match=r"\(at /workload/jobs\)"):
             ScenarioPack.from_dict(data)
 
+    @pytest.mark.parametrize("missing", [
+        "mean_time_between_failures", "mean_time_to_repair", "horizon",
+    ])
+    def test_outage_model_key_missing_rejected_at_same_path(self, missing):
+        """SiteOutageModel needs all three keys: the schema must not accept a
+        model the loader then fails to build, and both name the missing key."""
+        data = self.base()
+        model = {"mean_time_between_failures": "1d", "mean_time_to_repair": "2h",
+                 "horizon": "7d"}
+        del model[missing]
+        data["faults"] = {"outage_model": model}
+        pointer = f"/faults/outage_model/{missing}"
+        assert any(e.pointer == pointer and "missing" in e.message
+                   for e in self._errors(data))
+        with pytest.raises(ConfigurationError) as raised:
+            ScenarioPack.from_dict(data)
+        message = str(raised.value)
+        assert f"requires {missing!r}" in message and message.endswith(f"(at {pointer})")
+
+    def test_outage_model_with_only_horizon_names_the_first_missing_key(self):
+        data = self.base()
+        data["faults"] = {"outage_model": {"horizon": "1d"}}
+        pointers = self._pointers(data)
+        assert "/faults/outage_model/mean_time_between_failures" in pointers
+        assert "/faults/outage_model/mean_time_to_repair" in pointers
+        with pytest.raises(ConfigurationError,
+                           match=r"\(at /faults/outage_model/mean_time_between_failures\)$"):
+            ScenarioPack.from_dict(data)
+
     def test_unknown_keyword_in_schema_is_loud(self):
         with pytest.raises(ConfigurationError, match="unsupported"):
             validate_instance({"x": 1}, {"type": "object", "unevaluatedProperties": False})
