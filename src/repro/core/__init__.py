@@ -14,6 +14,10 @@ the workflow:
   that retrieves jobs from its local queue and executes them on the site's
   hosts.
 
+The actors are the paper's; here they are chains of callbacks on the
+events the paper's actors would block on, not generator processes, so a
+job starts no process anywhere on its path.
+
 :class:`~repro.core.simulator.Simulator` is the user-facing facade tying the
 input layer, the platform, the actors, monitoring and the output layer
 together; :class:`~repro.core.session.SimulationSession` exposes the same

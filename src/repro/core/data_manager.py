@@ -331,81 +331,8 @@ class DataManager:
         network (0.0 for cache/local hits).
         """
         done = Event(self.env)
-        self.env.process(self._transfer_proc(dataset, destination, size, done))
+        self.env.hop(_Transfer(self, dataset, destination, size, done).begin, urgent=True)
         return done
-
-    def _transfer_proc(self, dataset: str, destination: str, size: Optional[float], done: Event):
-        start = self.env.now
-        cache = self.caches.get(destination)
-        if cache is not None and dataset in self._replicas:
-            if cache.lookup(dataset):
-                # Cache hit: the dataset is resident at the destination.
-                yield self.env.timeout(0.0)
-                done.succeed(0.0)
-                return
-            inflight = self._inflight.get((dataset, destination))
-            if inflight is not None:
-                # The same dataset is already on its way here: piggy-back on
-                # the running transfer (Rucio-style request coalescing).
-                yield inflight
-                if dataset in cache:
-                    cache.touch(dataset)  # the waiter consumed the entry
-                    cache.stats.coalesced += 1
-                    done.succeed(0.0)
-                    return
-                # The fetch landed but the cache refused the insert; fall
-                # through and stage independently.
-        source = self._pick_source(dataset, destination)
-        if source is None or source.site == destination:
-            # Unknown dataset, or a local (origin/storage) replica outside
-            # the cache: either way nothing crosses the network.
-            yield self.env.timeout(0.0)
-            done.succeed(0.0)
-            return
-        transfer_size = float(size if size is not None else source.size)
-        route = self.platform.route(source.site, destination)
-        if cache is not None:
-            arrival = Event(self.env)
-            self._inflight[(dataset, destination)] = arrival
-            try:
-                yield self.platform.network.transfer(
-                    route, transfer_size, metadata={"dataset": dataset}
-                )
-                # The cache governs residency: an accepted insert becomes a
-                # new catalogue replica (evictions deregister theirs via the
-                # callback).  The entry's footprint is the dataset's
-                # catalogue size, not the per-job transfer size -- a dataset
-                # must occupy the same capacity however it entered the cache.
-                if cache.insert(dataset, source.size, pinned=False):
-                    self._register_cached_copy(dataset, destination, source.size)
-            finally:
-                self._inflight.pop((dataset, destination), None)
-                arrival.succeed()
-        else:
-            yield self.platform.network.transfer(
-                route, transfer_size, metadata={"dataset": dataset}
-            )
-        if cache is None and self.keep_new_replicas:
-            self._add_replica(
-                Replica(dataset=dataset, site=destination, size=transfer_size)
-            )
-            storages = self.platform.storages_in_zone(destination)
-            if storages and not storages[0].holds(dataset):
-                try:
-                    storages[0].register(dataset, transfer_size)
-                except Exception:  # storage full: keep going, replica stays remote
-                    self._drop_replica(dataset, destination)
-        self.transfer_log.append(
-            {
-                "dataset": dataset,
-                "source": source.site,
-                "destination": destination,
-                "size": transfer_size,
-                "start": start,
-                "end": self.env.now,
-            }
-        )
-        done.succeed(transfer_size)
 
     # -- job-facing helpers -------------------------------------------------------
     def stage_in(self, job: Job, site: str) -> Event:
@@ -430,24 +357,127 @@ class DataManager:
         return self.transfer(dataset, site, size=job.input_size)
 
     def stage_out(self, job: Job, site: str) -> Event:
-        """Register and (trivially) store the job's outputs at ``site``."""
+        """Register and store the job's outputs at ``site``: a write to the
+        site's storage when it has one, else one calendar hop."""
         dataset = str(job.attributes.get("output_dataset", f"job{job.job_id}.output"))
+        size = job.output_size
         done = Event(self.env)
-        self.env.process(self._stage_out_proc(dataset, site, job.output_size, done))
-        return done
 
-    def _stage_out_proc(self, dataset: str, site: str, size: float, done: Event):
-        storages = self.platform.storages_in_zone(site)
-        if storages and size > 0:
-            write = storages[0].write(dataset, size)
-            yield write
-        else:
-            yield self.env.timeout(0.0)
-        self._add_replica(Replica(dataset, site, size))
-        cache = self.caches.get(site)
-        if cache is not None:
-            cache.insert(dataset, size, pinned=False)
-        done.succeed(size)
+        def stored(event: Event) -> None:
+            if not event._ok:
+                return  # the failed write surfaces from env.run, undefused
+            self._add_replica(Replica(dataset, site, size))
+            cache = self.caches.get(site)
+            if cache is not None:
+                cache.insert(dataset, size, pinned=False)
+            done.succeed(size)
+
+        def begin(_event: Event) -> None:
+            storages = self.platform.storages_in_zone(site)
+            if storages and size > 0:
+                storages[0].write(dataset, size).callbacks.append(stored)
+            else:
+                self.env.hop(stored)
+
+        self.env.hop(begin, urgent=True)
+        return done
 
     def __repr__(self) -> str:
         return f"<DataManager datasets={len(self._replicas)} transfers={len(self.transfer_log)}>"
+
+
+class _Transfer:
+    """One :meth:`DataManager.transfer` as a chain of callbacks: the urgent
+    start, then a cache hit's or a local replica's hop, a coalesced fetch's
+    arrival, or the network flow (the events and their order are rule 4 of
+    "What one job costs the calendar" in ``docs/architecture.md``)."""
+
+    __slots__ = ("manager", "dataset", "destination", "size", "done", "start", "cache",
+                 "source", "moved", "arrival")
+
+    def __init__(self, manager: DataManager, dataset: str, destination: str,
+                 size: Optional[float], done: Event) -> None:
+        self.manager, self.dataset, self.destination = manager, dataset, destination
+        self.size, self.done = size, done
+
+    def begin(self, _event: Event) -> None:
+        manager, dataset = self.manager, self.dataset
+        self.start = manager.env.now
+        cache = self.cache = manager.caches.get(self.destination)
+        if cache is not None and dataset in manager._replicas:
+            if cache.lookup(dataset):
+                # Cache hit: the dataset is resident at the destination.
+                manager.env.hop(self._nothing_moved)
+                return
+            inflight = manager._inflight.get((dataset, self.destination))
+            if inflight is not None:
+                # The same dataset is already on its way here: piggy-back on
+                # the running transfer (Rucio-style request coalescing).
+                inflight.callbacks.append(self._landed)
+                return
+        self._fetch()
+
+    def _landed(self, _arrival: Event) -> None:
+        cache, dataset = self.cache, self.dataset
+        if dataset in cache:
+            cache.touch(dataset)  # the waiter consumed the entry
+            cache.stats.coalesced += 1
+            self.done.succeed(0.0)
+            return
+        # The fetch landed but the cache refused the insert; stage independently.
+        self._fetch()
+
+    def _fetch(self) -> None:
+        manager, dataset, destination = self.manager, self.dataset, self.destination
+        source = self.source = manager._pick_source(dataset, destination)
+        if source is None or source.site == destination:
+            # Unknown dataset, or a local (origin/storage) replica outside
+            # the cache: either way nothing crosses the network.
+            manager.env.hop(self._nothing_moved)
+            return
+        moved = self.moved = float(self.size if self.size is not None else source.size)
+        route = manager.platform.route(source.site, destination)
+        flow = manager.platform.network.transfer(route, moved, metadata={"dataset": dataset})
+        if self.cache is not None:
+            self.arrival = manager._inflight[(dataset, destination)] = Event(manager.env)
+        flow.callbacks.append(self._arrived)
+
+    def _nothing_moved(self, _hop: Event) -> None:
+        self.done.succeed(0.0)
+
+    def _arrived(self, _flow: Event) -> None:
+        manager, dataset, destination, cache = (
+            self.manager, self.dataset, self.destination, self.cache
+        )
+        source, moved = self.source, self.moved
+        if cache is not None:
+            try:
+                # The cache governs residency: an accepted insert becomes a
+                # new catalogue replica (evictions deregister theirs via the
+                # callback).  The entry's footprint is the dataset's
+                # catalogue size, not the per-job transfer size -- a dataset
+                # must occupy the same capacity however it entered the cache.
+                if cache.insert(dataset, source.size, pinned=False):
+                    manager._register_cached_copy(dataset, destination, source.size)
+            finally:
+                manager._inflight.pop((dataset, destination), None)
+                self.arrival.succeed()
+        elif manager.keep_new_replicas:
+            manager._add_replica(Replica(dataset=dataset, site=destination, size=moved))
+            storages = manager.platform.storages_in_zone(destination)
+            if storages and not storages[0].holds(dataset):
+                try:
+                    storages[0].register(dataset, moved)
+                except Exception:  # storage full: keep going, replica stays remote
+                    manager._drop_replica(dataset, destination)
+        manager.transfer_log.append(
+            {
+                "dataset": dataset,
+                "source": source.site,
+                "destination": destination,
+                "size": moved,
+                "start": self.start,
+                "end": manager.env.now,
+            }
+        )
+        self.done.succeed(moved)

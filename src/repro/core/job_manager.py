@@ -1,15 +1,20 @@
 """Job manager: feeds the workload into the main server.
 
 The job manager holds the full workload (a trace or a synthetic batch) and
-releases each job to the main server's inbox at its submission time, which is
-how "the main server starts receiving workload information from the job
-manager" in the paper's description of an engine run.
+releases each job into the main server's :class:`Inbox` at its submission
+time, which is how "the main server starts receiving workload information from
+the job manager" in the paper's description of an engine run.
+
+Releasing a batch is a chain of calendar hops, not a process: an urgent start
+event, then per job its submission-time timeout (when it lies ahead) and the
+put hop that counts it released ("What one job costs the calendar" in
+``docs/architecture.md`` has the order these keep).
 
 Open workloads
 --------------
 The workload is no longer fixed at construction time:
 :meth:`JobManager.submit` injects additional jobs while the simulation is
-running (each batch gets its own feeder process), which is what
+running (each batch is released by its own chain), which is what
 :meth:`repro.core.session.SimulationSession.submit` builds on to express
 jobs-arrive-while-the-grid-runs scenarios.  A job submitted after its
 nominal ``submission_time`` has passed is released immediately.
@@ -17,17 +22,50 @@ nominal ``submission_time`` has passed is released immediately.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from collections import deque
+from typing import Callable, Deque, Iterable, Iterator, List, Optional
 
-from repro.des import Environment, Store
+from repro.des import Environment, Event
 from repro.utils.errors import WorkloadError
 from repro.workload.job import Job
 
-__all__ = ["JobManager"]
+__all__ = ["Inbox", "JobManager"]
+
+
+class Inbox:
+    """The main server's inbox: released jobs, oldest first, and their one reader.
+
+    :meth:`get` hands the oldest job to the reader one calendar hop later (the
+    get hop); on an empty inbox the reader waits, and the next :meth:`put`
+    files its get hop right behind that put's own hop.
+    """
+
+    __slots__ = ("env", "jobs", "_reader")
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        self.jobs: Deque[Job] = deque()
+        #: The reader waiting on an empty inbox.
+        self._reader: Optional[Callable[[Event], None]] = None
+
+    def put(self, job: Job) -> None:
+        """Add ``job``; a waiting reader gets it one hop from now."""
+        reader, self._reader = self._reader, None
+        if reader is None:
+            self.jobs.append(job)
+        else:
+            self.env.hop(reader, job)
+
+    def get(self, reader: Callable[[Event], None]) -> None:
+        """Call ``reader(hop)`` with the oldest job as ``hop.value``, one hop after one is here."""
+        if self.jobs:
+            self.env.hop(reader, self.jobs.popleft())
+        else:
+            self._reader = reader
 
 
 class JobManager:
-    """Releases jobs into an inbox store at their submission times.
+    """Releases jobs into the main server's inbox at their submission times.
 
     Parameters
     ----------
@@ -37,22 +75,15 @@ class JobManager:
         The initial workload.  Jobs are released in submission-time order
         regardless of input order; ties preserve input order.  More jobs can
         join mid-run through :meth:`submit`.
-    inbox:
-        The store the main server reads from (created here if not supplied).
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        jobs: Iterable[Job],
-        inbox: Optional[Store] = None,
-    ) -> None:
+    def __init__(self, env: Environment, jobs: Iterable[Job]) -> None:
         self.env = env
         self.jobs: List[Job] = self._ordered_batch(jobs)
-        self.inbox = inbox if inbox is not None else Store(env)
+        self.inbox = Inbox(env)
         self._released = 0
         # Feed a snapshot: submit() extends self.jobs while this runs.
-        self._process = env.process(self._feeder(list(self.jobs)))
+        self._release(list(self.jobs))
 
     @staticmethod
     def _ordered_batch(jobs: Iterable[Job]) -> List[Job]:
@@ -76,10 +107,10 @@ class JobManager:
     def submit(self, jobs: Iterable[Job]) -> List[Job]:
         """Inject additional jobs into the running workload.
 
-        The batch is released by its own feeder process: each job enters the
-        main server's inbox at ``max(submission_time, now)`` (a submission
-        time already in the past means "submit now"), in submission-time
-        order within the batch.  Returns the ordered batch.
+        The batch is released by its own chain: each job enters the main
+        server's inbox at ``max(submission_time, now)`` (a submission time
+        already in the past means "submit now"), in submission-time order
+        within the batch.  Returns the ordered batch.
 
         The caller is responsible for telling the main server to expect the
         extra jobs (see :meth:`repro.core.server.MainServer.expect`);
@@ -89,11 +120,14 @@ class JobManager:
         if not batch:
             return batch
         self.jobs.extend(batch)
-        self.env.process(self._feeder(batch))
+        self._release(batch)
         return batch
 
+    def _release(self, batch: List[Job]) -> None:
+        """Start releasing one batch: an urgent hop, ahead of the events already due now."""
+        self.env.hop(_Feed(self, iter(batch)).next, urgent=True)
+
     # -- checkpoint support ------------------------------------------------
-    # cgsim: lint-ignore[snap-field-coverage] the inbox store is rebuilt by replaying recorded submit ops
     def snapshot(self) -> dict:
         """Capture the feeder's checkpointable counters (totals and releases).
 
@@ -107,8 +141,8 @@ class JobManager:
     def restore(self, state: dict) -> None:
         """Verify the replayed feeder matches a snapshot (replay-derived state).
 
-        The feeder processes are rebuilt by replay, so ``restore`` checks
-        the live counters against the snapshot and raises
+        The release chains are rebuilt by replay, so ``restore`` checks the
+        live counters against the snapshot and raises
         :class:`~repro.utils.errors.CheckpointError` on divergence instead
         of mutating anything.
         """
@@ -121,14 +155,36 @@ class JobManager:
                 "job manager diverged during replay: " + "; ".join(diffs)
             )
 
-    def _feeder(self, batch: List[Job]):
-        """Release each job of one batch into the inbox at its submission time."""
-        for job in batch:
-            delay = job.submission_time - self.env.now
-            if delay > 0:
-                yield self.env.timeout(delay)
-            yield self.inbox.put(job)
-            self._released += 1
-
     def __repr__(self) -> str:
         return f"<JobManager total={len(self.jobs)} released={self._released}>"
+
+
+class _Feed:
+    """The release of one batch: per job, its submission-time timeout when it
+    lies ahead, then the put into the inbox, whose hop counts it released."""
+
+    __slots__ = ("manager", "jobs", "job")
+
+    def __init__(self, manager: JobManager, jobs: Iterator[Job]) -> None:
+        self.manager, self.jobs = manager, jobs
+        self.job: Optional[Job] = None
+
+    def next(self, _event: Event) -> None:
+        job = self.job = next(self.jobs, None)
+        if job is None:
+            return
+        env = self.manager.env
+        delay = job.submission_time - env.now
+        if delay > 0:
+            env.timeout(delay).callbacks.append(self.put)
+        else:
+            self.put(None)
+
+    def put(self, _event: Optional[Event]) -> None:
+        manager = self.manager
+        manager.env.hop(self.released)
+        manager.inbox.put(self.job)
+
+    def released(self, event: Event) -> None:
+        self.manager._released += 1
+        self.next(event)

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 import numpy as np
 
+from repro.utils.floats import ordered_sum
 from repro.workload.job import Job, JobState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -183,9 +184,7 @@ def compute_metrics(
     end_times = [j.end_time for j in jobs if j.end_time is not None]
     makespan = (max(end_times) - start_time) if end_times else 0.0
 
-    cpu_time = float(
-        sum((j.walltime or 0.0) * j.cores for j in finished)
-    )
+    cpu_time = ordered_sum((j.walltime or 0.0) * j.cores for j in finished)
     throughput = len(finished) / makespan if makespan > 0 else 0.0
     terminal = len(finished) + len(failed)
     failure_rate = len(failed) / terminal if terminal else 0.0
@@ -203,9 +202,7 @@ def compute_metrics(
             mean_queue_time=_safe_mean(
                 [j.queue_time for j in site_finished if j.queue_time is not None]
             ),
-            total_core_seconds=float(
-                sum((j.walltime or 0.0) * j.cores for j in site_finished)
-            ),
+            total_core_seconds=ordered_sum((j.walltime or 0.0) * j.cores for j in site_finished),
         )
 
     return SimulationMetrics(

@@ -1,4 +1,4 @@
-"""Main server: the sender actor and central controller of the simulation.
+"""Main server: the dispatcher and central controller of the simulation.
 
 The main server reproduces the workflow described in the paper (Section 3.2):
 on an engine run it receives workload from the job manager, consults the
@@ -7,6 +7,10 @@ assigned site's queue.  If no suitable resource is found, the job goes to a
 *pending list*; whenever a resource on the grid becomes available (a job
 finishes) -- or periodically as a fallback -- the pending list is revisited.
 The simulation finishes once every job has been assigned and executed.
+
+The server reads its inbox through hops, not a process: the get hop carries
+one job to :meth:`MainServer._received`, which dispatches it (after a
+``scheduling_overhead`` timeout, when there is one) and asks for the next.
 
 The periodic fallback is a *sweep grid*: the times ``t0 + interval``,
 ``+ interval``, ... a perpetual sweeper started with the server would wake at.
@@ -21,7 +25,7 @@ from functools import partial
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.des import Environment, Event, Store
+from repro.des import Environment, Event
 from repro.plugins.base import AllocationPolicy, ResourceView, SiteStatus
 from repro.utils.errors import CheckpointError, SchedulingError
 from repro.utils.logging import NullLogger, SimLogger
@@ -29,6 +33,7 @@ from repro.workload.job import Job, JobState, allocate_job_id
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.data_manager import DataManager
+    from repro.core.job_manager import Inbox
     from repro.core.site import SiteRuntime
     from repro.monitoring.collector import MonitoringCollector
 
@@ -142,7 +147,7 @@ class _LiveResourceView(ResourceView):
 
 
 class MainServer:
-    """The sender actor: dispatches workload to site queues via the policy plugin.
+    """The dispatcher: sends workload to site queues via the policy plugin.
 
     Parameters
     ----------
@@ -153,7 +158,8 @@ class MainServer:
     policy:
         The allocation policy plugin.
     inbox:
-        Store the job manager feeds (shared with :class:`JobManager`).
+        The :class:`~repro.core.job_manager.Inbox` the job manager releases
+        jobs into; the server is its one reader.
     total_jobs:
         Total number of jobs expected; the :attr:`all_done` event fires when
         that many jobs have reached a terminal state.
@@ -187,7 +193,7 @@ class MainServer:
         env: Environment,
         sites: Dict[str, "SiteRuntime"],
         policy: AllocationPolicy,
-        inbox: Store,
+        inbox: "Inbox",
         total_jobs: int,
         collector: Optional["MonitoringCollector"] = None,
         data_manager: Optional["DataManager"] = None,
@@ -249,7 +255,8 @@ class MainServer:
         for site in self.sites.values():
             site.completion_callbacks.append(self._on_job_completed)
 
-        self._sender_process = env.process(self._sender())
+        # Urgent, as every chain's start: ahead of the events already due now.
+        env.hop(self._take, urgent=True)
         #: The next time on the sweep grid not known to have passed (an empty
         #: workload's sweeper would exit as it starts: ``expect`` restarts its grid).
         self._next_sweep = env.now + (self.pending_retry_interval if self.total_jobs else 0.0)
@@ -305,20 +312,28 @@ class MainServer:
             for listener in self.rearm_listeners:
                 listener()
 
-    # -- actors --------------------------------------------------------------------
-    def _sender(self):
-        """Main dispatch loop: take jobs from the inbox and place them.
+    # -- reading the inbox -------------------------------------------------------
+    def _take(self, _event: Optional[Event] = None) -> None:
+        """Ask the inbox for the next job (the reader waits on an empty one).
 
-        Runs for the lifetime of the simulation (the workload is open-ended:
-        :meth:`expect` can raise the job count at any time), parking forever
-        on an empty inbox; a blocked process holds no calendar events, so it
-        never keeps the run loop alive on its own.
+        The workload is open-ended (:meth:`expect` can raise the job count at
+        any time), so the server reads for the lifetime of the simulation; a
+        waiting reader holds no calendar events and never keeps the run loop
+        alive on its own.
         """
-        while True:
-            job = yield self.inbox.get()
-            if self.scheduling_overhead > 0:
-                yield self.env.timeout(self.scheduling_overhead)
-            self._dispatch(job)
+        self.inbox.get(self._received)
+
+    def _received(self, hop: Event) -> None:
+        """The get hop: serve its job now, or after the scheduling overhead."""
+        if self.scheduling_overhead > 0:
+            self.env.timeout(self.scheduling_overhead, hop._value).callbacks.append(self._serve)
+        else:
+            self._serve(hop)
+
+    def _serve(self, event: Event) -> None:
+        """Dispatch the job ``event`` carries, then read on."""
+        self._dispatch(event._value)
+        self.inbox.get(self._received)
 
     def _dispatch(self, job: Job) -> None:
         """Consult the policy for one job; queue it or park it as pending."""
@@ -450,7 +465,7 @@ class MainServer:
         """Capture the dispatch state: totals, pending ids, assignments, retries, sweep.
 
         Part of the :class:`repro.state.Snapshottable` protocol.  Everything
-        here is replay-derived (the sender process and the completion
+        here is replay-derived (the inbox reads and the completion
         callbacks rebuild it when the session re-executes its op log), so the
         snapshot serves as the verification record a restore is checked
         against -- job ids in the pending list keep arrival order, and the

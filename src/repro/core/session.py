@@ -775,12 +775,13 @@ class SimulationSession:
                 "streams apply from the fork point, which a from-scratch replay "
                 "cannot reproduce; checkpoint the root session instead"
             )
-        from repro.state.checkpoint import CHECKPOINT_VERSION
+        from repro.state.checkpoint import CHECKPOINT_VERSION, STEP_CALENDAR
 
         sim = self._simulator
         collector = sim.collector
         return {
             "format": CHECKPOINT_VERSION,
+            "step_calendar": STEP_CALENDAR,
             "time": self.now,
             "job_counter": self._job_counter_base,
             "waves": self._waves,
@@ -857,6 +858,19 @@ class SimulationSession:
         if monitoring not in ("replay", "muted"):
             raise CheckpointError(
                 f"unknown monitoring mode {monitoring!r} (use 'replay' or 'muted')"
+            )
+        from repro.state.checkpoint import STEP_CALENDAR
+
+        if payload.get("step_calendar") != STEP_CALENDAR and any(
+            op[0] == "step" for op in payload.get("ops", ())
+        ):
+            raise CheckpointError(
+                "the checkpoint's op log holds step ops counted on another build's "
+                f"calendar (step_calendar {payload.get('step_calendar')!r}, this build "
+                f"counts on {STEP_CALENDAR}): a step counts kernel events, and builds "
+                "differ in how many a job files, so the replay would stop at another "
+                "event -- re-create the checkpoint with advance_until / "
+                "advance_to_completion"
             )
         simulator = cls._resolve_simulator(simulator_factory, payload)
         expected_sites = sorted(payload.get("site_names", []))

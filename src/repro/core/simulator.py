@@ -296,11 +296,7 @@ class Simulator:
     # by the tick only if its event sits ahead of the tick in that bucket.
     def _start_ticks(self) -> None:
         self._ticking = True
-        start = Event(self.env)
-        start._ok = True
-        start._value = None
-        start.callbacks.append(self._first_tick)
-        self.env.schedule(start, priority=0)
+        self.env.hop(self._first_tick, urgent=True)
 
     def _restart_ticks(self) -> None:
         """``rearm_listeners`` entry: a wave submitted after completion gets

@@ -1,6 +1,6 @@
-"""Site runtime: the receiver actor executing jobs at one computing site.
+"""Site runtime: admission and execution of jobs at one computing site.
 
-Each site owns a local job queue; its receiver actor admits jobs in FIFO
+Each site owns a local job queue; its admission chain takes jobs in FIFO
 order, waits until one of the site's hosts has enough free cores, stages
 input data when a data manager is attached, runs the job on the chosen host
 and finally stages the output.  Admission is FIFO (a wide job at the head of
@@ -8,11 +8,12 @@ the queue waits for enough cores before narrower jobs behind it are
 considered), matching how a simple batch queue without backfilling behaves;
 backfilling can instead be expressed at the allocation-policy level.
 
-Only the receiver is a process.  An admitted job is one :class:`_Execution`
-whose steps run as callbacks on the events it waits for: no process per job
-and no event nobody waits on ("What one job costs the calendar" in
-``docs/architecture.md`` has the count and the two ordering rules the receiver
-keeps so that results stay bit-identical).
+Nothing here is a process.  Admission is a chain of callbacks
+(``_take -> _admit -> _fit -> _granted``), and an admitted job is one
+:class:`_Execution` whose steps run as callbacks on the events it waits for:
+no event nobody waits on ("What one job costs the calendar" in
+``docs/architecture.md`` has the count and the ordering rules admission keeps
+so that results stay bit-identical).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = ["SiteRuntime"]
 
 
 class SiteRuntime:
-    """The receiver-actor side of one computing site.
+    """One computing site: its queue, its admission chain and its executions.
 
     Parameters
     ----------
@@ -95,10 +96,14 @@ class SiteRuntime:
 
         #: Local job queue the main server pushes into (the paper's site queue).
         self.queue: Deque[Job] = deque()
-        #: The receiver's request for its next job while the queue is empty.
-        self._idle: Optional[Event] = None
-        #: What the receiver waits on while no host fits the job at the head.
-        self._capacity_event: Optional[Event] = None
+        #: Whether admission waits on an empty queue for its next job.
+        self._idle = False
+        #: Whether admission waits for cores to fit the job at the head.
+        self._wants_cores = False
+        #: The job being admitted (taken off the queue, not yet started) and,
+        #: once cores are claimed for it, their host.
+        self._job: Optional[Job] = None
+        self._host: Optional[Host] = None
         #: Whether the site currently admits jobs (outage injection toggles this).
         self.online: bool = True
         #: Event re-created on every outage; admission waits on it while offline.
@@ -120,30 +125,20 @@ class SiteRuntime:
         #: the sites in backlog order, so it can re-file this site.
         self.backlog_changed: Optional[Callable[[], None]] = None
 
-        self._receiver_process = env.process(self._receiver())
+        # Urgent, as every chain's start: ahead of the events already due now.
+        env.hop(self._take, urgent=True)
 
     # -- public API ----------------------------------------------------------
     def submit(self, job: Job) -> None:
         """Place ``job`` into the site's local queue (called by the main server)."""
         self.assigned_jobs += 1
-        if self._idle is None:
-            self.queue.append(job)
+        if self._idle:
+            self._idle = False
+            self.env.hop(self._admit, job)
         else:
-            waiting, self._idle = self._idle, None
-            waiting.succeed(job)
+            self.queue.append(job)
         if self.backlog_changed is not None:
             self.backlog_changed()
-
-    def _next_job(self) -> Event:
-        """Take the head of the queue; the event carries it one calendar hop later."""
-        event = self.env.event()
-        if self.queue:
-            event.succeed(self.queue.popleft())
-            if self.backlog_changed is not None:
-                self.backlog_changed()
-        else:
-            self._idle = event
-        return event
 
     @property
     def queued_jobs(self) -> int:
@@ -170,7 +165,7 @@ class SiteRuntime:
         return self.zone.max_host_cores
 
     # -- checkpoint support -------------------------------------------------------
-    # cgsim: lint-ignore[snap-field-coverage] the job queue and the events the receiver waits on are rebuilt by replay
+    # cgsim: lint-ignore[snap-field-coverage] the job queue, the job being admitted and what admission waits on are rebuilt by replay
     def snapshot(self) -> dict:
         """Capture the site's checkpointable counters and availability state.
 
@@ -212,7 +207,7 @@ class SiteRuntime:
     def restore(self, state: dict) -> None:
         """Verify the replayed site matches a snapshot (replay-derived state).
 
-        The receiver process and the running executions are rebuilt by replaying
+        The admission chain and the running executions are rebuilt by replaying
         the event stream; ``restore`` therefore checks the live counters against the
         snapshot and raises :class:`~repro.utils.errors.CheckpointError`
         naming every divergent field.
@@ -246,42 +241,64 @@ class SiteRuntime:
         event.succeed()
         self.logger.info("site", f"{self.name} online")
 
-    # -- internal actors -----------------------------------------------------------
-    def _receiver(self):
-        """The receiver actor: admit jobs FIFO, start each as an :class:`_Execution`."""
-        next_job = self._next_job()
-        while True:
-            job = yield next_job
-            # During an outage the queue keeps accumulating but nothing is
-            # admitted until the site comes back online.
-            while not self.online:
-                yield self._online_event
-            if job.cores > self.max_host_cores():
-                # This should have been filtered by the policy; fail the job
-                # rather than dead-locking the whole site queue.
-                self._fail(job, f"no host at {self.name} has {job.cores} cores")
-                next_job = self._next_job()
-                continue
-            host = self.zone.best_fit(job.cores)
-            while host is None:
-                self._capacity_event = self.env.event()
-                yield self._capacity_event
-                host = self.zone.best_fit(job.cores)
-            request = host.core_pool.request(amount=job.cores)
-            self.zone.refile(host)
-            # Granted at once, yet the receiver resumes only when the grant is
-            # processed: that hop orders same-timestamp admissions across sites.
-            yield request
-            # The next job leaves the queue *before* this one starts: its
-            # RUNNING row reports the queue as it is after this pop.
-            next_job = self._next_job()
-            _Execution(self, job, host, request).advance()
+    # -- admission -------------------------------------------------------------------
+    def _take(self, _event: Optional[Event] = None) -> None:
+        """Take the head of the queue: :meth:`_admit` gets it one calendar hop
+        later (the next :meth:`submit` hands it over, on an empty queue)."""
+        if self.queue:
+            self.env.hop(self._admit, self.queue.popleft())
+            if self.backlog_changed is not None:
+                self.backlog_changed()
+        else:
+            self._idle = True
+
+    def _admit(self, hop: Event) -> None:
+        """The job taken off the queue is here: wait out an outage, then fit it."""
+        self._job = hop._value
+        self._when_online(hop)
+
+    def _when_online(self, _event: Event) -> None:
+        # During an outage the queue keeps accumulating but nothing is
+        # admitted until the site comes back online.
+        if not self.online:
+            self._online_event.callbacks.append(self._when_online)
+            return
+        job = self._job
+        if job.cores > self.max_host_cores():
+            # This should have been filtered by the policy; fail the job
+            # rather than dead-locking the whole site queue.
+            self._job = None
+            self._fail(job, f"no host at {self.name} has {job.cores} cores")
+            self._take()
+            return
+        self._fit()
+
+    def _fit(self, _event: Optional[Event] = None) -> None:
+        """Claim cores on the best-fitting host, or wait until a job ends."""
+        job = self._job
+        host = self.zone.best_fit(job.cores)
+        if host is None:
+            self._wants_cores = True
+            return
+        request = host.core_pool.request(amount=job.cores)
+        self.zone.refile(host)
+        # Granted at once, yet admission goes on only when the grant is
+        # processed: that hop orders same-timestamp admissions across sites.
+        self._host = host
+        request.callbacks.append(self._granted)
+
+    def _granted(self, request: Request) -> None:
+        job, host, self._job = self._job, self._host, None
+        # The next job leaves the queue *before* this one starts: its
+        # RUNNING row reports the queue as it is after this pop.
+        self._take()
+        _Execution(self, job, host, request).advance()
 
     def _signal_capacity(self) -> None:
-        """Wake the admission loop if it is waiting for cores."""
-        event, self._capacity_event = self._capacity_event, None
-        if event is not None:
-            event.succeed()
+        """Go on fitting the job at the head if it waits for cores."""
+        if self._wants_cores:
+            self._wants_cores = False
+            self.env.hop(self._fit)
 
     def _fail(self, job: Job, reason: str) -> None:
         """Mark ``job`` failed and notify listeners."""
@@ -390,7 +407,7 @@ class _Execution:
             # Streaming/pipelined I/O (DCSim-style): the input is read while
             # the job computes, so the job holds its cores for
             # max(stage-in, compute) rather than their sum.
-            return env.all_of([site.data_manager.stage_in(job, site.name), env.timeout(duration)])
+            return _Join(env, site.data_manager.stage_in(job, site.name), env.timeout(duration))
         self.held = duration
         return env.timeout(duration)
 
@@ -423,3 +440,28 @@ class _Execution:
             self.request.cancel()  # the cores return without a Release event
             site.zone.refile(self.host)
             site._signal_capacity()
+
+
+class _Join(Event):
+    """``env.all_of`` of two events, without its value dict: triggered once both
+    are processed, or as the first of them fails, so its waiter resumes one
+    calendar hop later, as on the condition."""
+
+    __slots__ = ("_left",)
+
+    def __init__(self, env: Environment, first: Event, second: Event) -> None:
+        super().__init__(env)
+        self._left = 2
+        first.callbacks.append(self._arrived)
+        second.callbacks.append(self._arrived)
+
+    def _arrived(self, event: Event) -> None:
+        if self._ok is not None:
+            return  # a failure triggered it already
+        if not event._ok:
+            event.defused = True  # handled: it fails the join
+            self.fail(event._value)
+        else:
+            self._left -= 1
+            if not self._left:
+                self.succeed()

@@ -10,12 +10,13 @@ The :class:`Environment` owns a *bucketed* event calendar:
   min-heap holding each distinct time once.  When the clock advances, the
   next time's whole bucket is adopted as the new ready list in O(1).
 * ``_pri_buckets`` -- a rare-path dict of ``(priority, seq, event)`` lists
-  for below-normal priorities (process initialisation, interrupts, ``until``
-  sentinels); drained, lowest ``(priority, seq)`` first, before same-time
-  normal events.
+  for below-normal priorities (process initialisation, urgent hops,
+  interrupts, ``until`` sentinels); drained, lowest ``(priority, seq)``
+  first, before same-time normal events.
 
 ``run()`` drains the ready list, advances the clock and executes event
-callbacks, which in turn resume the generator processes waiting on them.
+callbacks, which run the next step of a callback chain (see :meth:`hop`)
+or resume the generator process waiting on the event.
 The public surface (``timeout`` / ``process`` / ``schedule`` / ``step`` /
 ``run``) follows the conventional process-based DES structure so that the
 simulation core reads like ordinary SimPy/SimGrid-style actor code.
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import sys
 from heapq import heappop, heappush
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.des.events import AllOf, AnyOf, Event, Process, Timeout
 from repro.utils.errors import SimulationError
@@ -196,6 +197,40 @@ class Environment:
         else:
             self._ready.append(timeout)
         return timeout
+
+    def hop(self, callback: Callable[[Event], None], value: Any = None, urgent: bool = False,
+            *, _push=heappush, _new=Timeout.__new__) -> Event:
+        """Call ``callback(event)`` one calendar hop from now, ``event.value`` being ``value``.
+
+        A normal hop is filed behind the events already due now, where
+        ``event.succeed(value)`` files an event; an ``urgent`` one ahead of
+        them, where a :class:`Process` files its start.  A chain of hops is a
+        process without the generator: each ``yield`` it would make is one
+        hop.  The event is a pooled zero-delay :class:`Timeout`, filed inline.
+        """
+        pool = self._timeout_pool
+        if pool:
+            event = pool.pop()
+        else:
+            event = _new(Timeout)
+            event.env = self
+            event.callbacks = []
+            event._ok = True
+            event.defused = False
+        event.delay = 0.0
+        event._value = value
+        event.callbacks.append(callback)
+        if urgent:
+            eid = self._eid
+            self._eid = eid + 1
+            bucket = self._pri_buckets.get(self._now)
+            if bucket is not None:
+                _push(bucket, (URGENT_PRIORITY, eid, event))
+            else:
+                self._pri_buckets[self._now] = [(URGENT_PRIORITY, eid, event)]
+        else:
+            self._ready.append(event)
+        return event
 
     def process(self, generator: Generator) -> Process:
         """Start a new :class:`Process` executing ``generator``."""

@@ -1,17 +1,18 @@
 """Object stores (mailboxes / queues) for the discrete-event kernel.
 
-Stores are the communication primitive the CGSim core uses between the job
-manager's feeder and the main server's *sender* actor: the feeder ``put``s
-job descriptors into the server's inbox, the sender ``get``s them one
-dispatch at a time.
+Stores are the communication primitive between processes: a producer
+``put``s items, a consumer ``get``s them one at a time, each side resuming
+one calendar hop after its request is served.  (The simulation core's inbox
+is no store: it is :class:`repro.core.job_manager.Inbox`, a deque whose one
+reader is a callback.)
 
 * :class:`Store` -- unbounded-or-bounded FIFO of arbitrary Python objects.
 
 Hot-path notes
 --------------
 :class:`Store` keeps items and waiters in deques: ``get`` pops the head in
-O(1) where a list would memmove the whole backlog, which matters for an
-inbox that accumulates thousands of jobs.  Both store events declare
+O(1) where a list would memmove the whole backlog, which matters for a
+store that accumulates thousands of items.  Both store events declare
 ``__slots__``.
 """
 

@@ -3,7 +3,7 @@
 In CGSim each computing site contains hosts ("CPUs") with properties such as
 speed, RAM and storage; jobs occupy an integer number of cores for a duration
 derived from their computational work and the host's per-core speed.  The
-host exposes its cores as a counted resource so the site receiver actor can
+host exposes its cores as a counted resource so the site's admission can
 admit jobs only while free cores remain, which is what produces realistic
 queueing behaviour.
 """

@@ -13,7 +13,8 @@ Whenever a flow starts or finishes the allocation is re-solved and the
 projected completion time of every active flow is updated.  The model is
 driven by a single wake-up event per change (epoch-guarded), so the number of
 simulation events is proportional to the number of flow arrivals/departures
-rather than to the number of rate changes squared.
+rather than to the number of rate changes squared.  Starts and wake-ups are
+callback chains, each begun by an urgent hop.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.des import Environment, Event
@@ -102,15 +104,23 @@ class NetworkModel:
         if size < 0:
             raise PlatformError(f"transfer size must be >= 0, got {size}")
         done = Event(self.env)
-        if not route.links:
-            # No links on the route: the transfer is instantaneous.
-            self.env.process(self._trivial_transfer(done, route, size, metadata))
-            return done
-        self.env.process(self._delayed_start(route, size, done, metadata))
+        self.env.hop(partial(self._begin, route, size, done, metadata), urgent=True)
         return done
 
-    def _trivial_transfer(self, done: Event, route: Route, size: float, metadata):
-        yield self.env.timeout(0.0)
+    def _begin(self, route: Route, size: float, done: Event, metadata, _event: Event) -> None:
+        if not route.links:
+            # No links on the route: the transfer is instantaneous, one hop on.
+            self.env.hop(partial(self._trivial_transfer, route, size, done, metadata))
+        elif route.latency > 0:
+            # Latency is paid once, before bandwidth consumption begins.
+            self.env.timeout(route.latency).callbacks.append(
+                partial(self._start_flow, route, size, done, metadata)
+            )
+        else:
+            self._start_flow(route, size, done, metadata, _event)
+
+    def _trivial_transfer(self, route: Route, size: float, done: Event, metadata,
+                          _hop: Event) -> None:
         flow = Flow(
             flow_id=next(self._ids),
             route=route,
@@ -124,10 +134,8 @@ class NetworkModel:
         self.completed.append(flow)
         done.succeed(flow)
 
-    def _delayed_start(self, route: Route, size: float, done: Event, metadata):
-        # Latency is paid once, before bandwidth consumption begins.
-        if route.latency > 0:
-            yield self.env.timeout(route.latency)
+    def _start_flow(self, route: Route, size: float, done: Event, metadata,
+                    _event: Event) -> None:
         flow = Flow(
             flow_id=next(self._ids),
             route=route,
@@ -238,10 +246,16 @@ class NetworkModel:
             # would never reduce the remaining bytes (elapsed == 0) and the
             # simulation would spin forever on zero-delay events.
             minimum_advance = math.ulp(self.env.now) if self.env.now > 0 else 0.0
-            self.env.process(self._wakeup(max(minimum_advance, next_completion), epoch))
+            delay = max(minimum_advance, next_completion)
+            # The wake-up's timeout is filed at an urgent hop, ahead of the
+            # events already due now: where it sits in its bucket decides the
+            # order of same-time completions.
+            self.env.hop(
+                lambda _hop: self.env.timeout(delay).callbacks.append(partial(self._wakeup, epoch)),
+                urgent=True,
+            )
 
-    def _wakeup(self, delay: float, epoch: int):
-        yield self.env.timeout(delay)
+    def _wakeup(self, epoch: int, _timeout: Event) -> None:
         if epoch != self._epoch:
             return  # A newer reschedule superseded this wake-up.
         self._reschedule()

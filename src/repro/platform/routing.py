@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.platform.link import Link
 from repro.utils.errors import PlatformError
+from repro.utils.floats import ordered_sum
 
 __all__ = ["Route", "RoutingTable"]
 
@@ -38,7 +39,7 @@ class Route:
     @property
     def latency(self) -> float:
         """Total one-way latency along the route (seconds)."""
-        return sum(link.latency for link in self.links)
+        return ordered_sum(link.latency for link in self.links)
 
     @property
     def bottleneck_bandwidth(self) -> float:

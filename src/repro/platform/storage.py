@@ -9,7 +9,7 @@ resources.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict
 
 from repro.des import Environment, Event, Resource
 from repro.utils.errors import PlatformError
@@ -110,41 +110,57 @@ class Storage:
             self._used -= size
 
     # -- simulated I/O -----------------------------------------------------------
+    # An operation is a chain of callbacks: an urgent start, the channel
+    # grant and the transfer timeout.  Handing the channel on files the next
+    # waiter's grant before whatever the finished operation files.
     def write(self, filename: str, size: float) -> Event:
         """Write ``size`` bytes as ``filename``; event succeeds when done."""
         if size < 0:
             raise PlatformError("file size must be >= 0")
         done = Event(self.env)
-        self.env.process(self._write_proc(filename, size, done))
-        return done
 
-    def _write_proc(self, filename: str, size: float, done: Event):
-        if self._used + size > self.capacity + 1e-9:
-            done.fail(PlatformError(f"storage {self.name!r} full writing {filename!r}"))
-            return
-        with self._channel.request() as slot:
-            yield slot
-            yield self.env.timeout(size / self.write_bandwidth)
-        self.register(filename, size)
-        self.bytes_written += size
-        done.succeed(filename)
+        def begin(_event: Event) -> None:
+            if self._used + size > self.capacity + 1e-9:
+                done.fail(PlatformError(f"storage {self.name!r} full writing {filename!r}"))
+            else:
+                self._through_channel(size / self.write_bandwidth, written)
+
+        def written() -> None:
+            self.register(filename, size)
+            self.bytes_written += size
+            done.succeed(filename)
+
+        self.env.hop(begin, urgent=True)
+        return done
 
     def read(self, filename: str) -> Event:
         """Read ``filename``; event succeeds (with its size) when done."""
         done = Event(self.env)
-        self.env.process(self._read_proc(filename, done))
+
+        def begin(_event: Event) -> None:
+            if filename not in self._files:
+                done.fail(PlatformError(f"storage {self.name!r} does not hold {filename!r}"))
+                return
+            size = self._files[filename]
+
+            def read() -> None:
+                self.bytes_read += size
+                done.succeed(size)
+
+            self._through_channel(size / self.read_bandwidth, read)
+
+        self.env.hop(begin, urgent=True)
         return done
 
-    def _read_proc(self, filename: str, done: Event):
-        if filename not in self._files:
-            done.fail(PlatformError(f"storage {self.name!r} does not hold {filename!r}"))
-            return
-        size = self._files[filename]
-        with self._channel.request() as slot:
-            yield slot
-            yield self.env.timeout(size / self.read_bandwidth)
-        self.bytes_read += size
-        done.succeed(size)
+    def _through_channel(self, seconds: float, then: Callable[[], None]) -> None:
+        """Wait for the channel, hold it ``seconds``, hand it on, then call ``then()``."""
+        slot = self._channel.request()
+
+        def held(_timeout: Event) -> None:
+            slot.cancel()
+            then()
+
+        slot.callbacks.append(lambda _grant: self.env.timeout(seconds).callbacks.append(held))
 
     def __repr__(self) -> str:
         return f"<Storage {self.name} used={self._used:g}/{self.capacity:g}>"

@@ -17,6 +17,7 @@ from repro.des.resources import Tally
 from repro.platform.host import Host
 from repro.platform.link import Link
 from repro.utils.errors import PlatformError
+from repro.utils.floats import ordered_sum
 
 __all__ = ["NetZone"]
 
@@ -124,7 +125,7 @@ class NetZone:
     @property
     def total_speed(self) -> float:
         """Aggregate compute speed of the zone (operations per second)."""
-        return sum(host.total_speed for host in self._hosts.values())
+        return ordered_sum(host.total_speed for host in self._hosts.values())
 
     def mean_core_speed(self) -> float:
         """Average per-core speed over all hosts (0 when the zone is empty)."""

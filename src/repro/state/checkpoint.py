@@ -31,6 +31,7 @@ from repro.utils.errors import CheckpointError
 __all__ = [
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
+    "STEP_CALENDAR",
     "encode_checkpoint",
     "decode_checkpoint",
     "checkpoint_fingerprint",
@@ -43,6 +44,13 @@ CHECKPOINT_MAGIC = b"RPCK"
 
 #: Current blob format version (byte 5 of the header).
 CHECKPOINT_VERSION = 1
+
+#: What a ``["step", n]`` op counts: ``n`` kernel events of this build's job
+#: lifecycle, which files no process start or end -- every job step is a
+#: callback.  Payloads carry it under ``"step_calendar"``; a restore refuses a
+#: blob with step ops recorded under any other value (or none: the builds
+#: before it ran a process per job path and counted their completion events).
+STEP_CALENDAR = 2
 
 
 def encode_checkpoint(payload: dict) -> bytes:

@@ -12,6 +12,8 @@ code base:
   simulation core and the monitoring layer.
 * :mod:`repro.utils.errors` -- the exception hierarchy shared by all
   subpackages.
+* :mod:`repro.utils.floats` -- float reductions that add in order on every
+  interpreter.
 """
 
 from typing import TYPE_CHECKING
@@ -27,6 +29,7 @@ if TYPE_CHECKING:
         SimulationError,
         WorkloadError,
     )
+    from repro.utils.floats import ordered_sum
     from repro.utils.rng import RandomSource, derive_seed, spawn_rng
     from repro.utils.units import (
         format_bytes,
@@ -44,6 +47,7 @@ __all__ = [
     "SchedulingError",
     "SimulationError",
     "WorkloadError",
+    "ordered_sum",
     "RandomSource",
     "spawn_rng",
     "derive_seed",
@@ -65,6 +69,7 @@ _EXPORTS = {
         "SimulationError",
         "WorkloadError",
     ),
+    "repro.utils.floats": ("ordered_sum",),
     "repro.utils.rng": ("RandomSource", "derive_seed", "spawn_rng"),
     "repro.utils.units": (
         "format_bytes",

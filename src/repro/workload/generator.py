@@ -28,6 +28,7 @@ import numpy as np
 from repro.config.infrastructure import InfrastructureConfig
 from repro.utils.errors import WorkloadError
 from repro.utils.fieldspec import check_declared, declare
+from repro.utils.floats import ordered_sum
 from repro.utils.rng import RandomSource
 from repro.workload.job import Job
 from repro.workload.patterns import poisson_arrivals
@@ -207,13 +208,9 @@ class SyntheticWorkloadGenerator:
                 size_mu = np.log(spec.mean_file_size)
             if n == 1:
                 return float(lognormal(size_mu, 0.8))
-            # An explicit loop, not sum(): from CPython 3.12 on, sum() of
-            # Python floats compensates its rounding and so differs from
-            # the left-to-right adds of the scalar draws in the last bits.
-            total = 0.0
-            for size in lognormal(size_mu, 0.8, n).tolist():
-                total += size
-            return total
+            # Added in order, as the scalar draws were: not arr.sum(), whose
+            # pairwise rounding differs from n >= 8, nor the builtin sum().
+            return ordered_sum(lognormal(size_mu, 0.8, n).tolist())
 
         jobs: List[Job] = []
         append = jobs.append

@@ -7,7 +7,7 @@ from repro.core.data_manager import DataManager
 from repro.core.job_manager import JobManager
 from repro.core.server import MainServer
 from repro.core.site import SiteRuntime
-from repro.des import Environment, Store
+from repro.des import Environment
 from repro.monitoring.collector import MonitoringCollector
 from repro.platform.builder import build_platform
 from repro.plugins.bundled import LeastLoadedPolicy, RoundRobinPolicy
@@ -26,17 +26,15 @@ def build_site(env, name="SITE", cores=8, speed=1e9, hosts=1, collector=None, ov
 
 class TestJobManager:
     def test_jobs_released_at_submission_time(self, env):
-        inbox = Store(env)
         jobs = [Job(work=1, submission_time=t) for t in (5.0, 1.0, 3.0)]
-        manager = JobManager(env, jobs, inbox=inbox)
+        manager = JobManager(env, jobs)
         received = []
 
-        def consumer(env):
-            for _ in range(3):
-                job = yield inbox.get()
-                received.append((env.now, job.submission_time))
+        def reader(hop):
+            received.append((env.now, hop.value.submission_time))
+            manager.inbox.get(reader)
 
-        env.process(consumer(env))
+        manager.inbox.get(reader)
         env.run()
         assert received == [(1.0, 1.0), (3.0, 3.0), (5.0, 5.0)]
         assert manager.released_jobs == 3

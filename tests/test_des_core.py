@@ -55,6 +55,34 @@ class TestEventOrdering:
         assert order == ["early", "middle", "late"]
 
 
+class TestHop:
+    def test_files_where_succeed_and_a_process_start_file(self, env):
+        """A normal hop queues behind the events already due, like ``succeed``;
+        an urgent one runs ahead of them, like a process's first step."""
+        order = []
+
+        def proc(env):
+            order.append("process start")
+            yield env.timeout(0)
+
+        env.hop(lambda hop: order.append(("normal", hop.value)), value=1)
+        env.event().succeed().callbacks.append(lambda _event: order.append("succeed"))
+        env.process(proc(env))
+        env.hop(lambda hop: order.append(("urgent", hop.value)), value=2, urgent=True)
+        env.hop(lambda _hop: order.append("normal again"))
+        env.run()
+        assert order == ["process start", ("urgent", 2), ("normal", 1), "succeed",
+                         "normal again"]
+
+    def test_a_hop_at_a_later_time_runs_at_that_time(self, env):
+        seen = []
+        env.timeout(2.5).callbacks.append(
+            lambda _t: env.hop(lambda hop: seen.append((env.now, hop.value)), "x", urgent=True)
+        )
+        env.run()
+        assert seen == [(2.5, "x")]
+
+
 class TestRunUntil:
     def test_run_until_time_stops_clock_exactly(self, env):
         def proc(env):

@@ -26,10 +26,11 @@ from hypothesis import strategies as st
 
 from repro.config.infrastructure import SiteConfig
 from repro.core.data_manager import DataManager
+from repro.core.job_manager import Inbox
 from repro.core.server import MainServer
 from repro.core.site import SiteRuntime
 from repro.data import DataCacheSpec
-from repro.des import Environment, Store
+from repro.des import Environment
 from repro.faults import JobFailureModel, SiteOutageModel
 from repro.platform.platform import Platform
 from repro.plugins.base import ResourceView, SiteStatus
@@ -291,7 +292,7 @@ class TestLiveStatusesEqualPlainRecords:
             sites[name] = SiteRuntime(env, platform, config, failure_model=failures)
         data = DataManager(env, platform, cache=DataCacheSpec(capacity=2.0))
         description = platform.describe()
-        server = MainServer(env, sites, create_policy("round_robin"), inbox=Store(env),
+        server = MainServer(env, sites, create_policy("round_robin"), inbox=Inbox(env),
                             total_jobs=0, data_manager=data, platform_description=description)
         live = server.resource_view()
         policies = {}
@@ -394,7 +395,7 @@ class TestOrderedDispatchOnAWideGrid:
             config = SiteConfig(name=name, cores=sum(host_cores), core_speed=speed)
             sites[name] = SiteRuntime(env, platform, config, failure_model=failures)
         description = platform.describe()
-        server = MainServer(env, sites, create_policy("round_robin"), inbox=Store(env),
+        server = MainServer(env, sites, create_policy("round_robin"), inbox=Inbox(env),
                             total_jobs=0, platform_description=description)
         on_live, on_records = create_policy("panda_dispatcher"), create_policy("panda_dispatcher")
         for policy in (on_live, on_records):

@@ -17,7 +17,7 @@ from repro.config.execution import (
     StopConfig,
 )
 from repro.core import SimulationSession, Simulator
-from repro.core.job_manager import JobManager
+from repro.core.job_manager import Inbox, JobManager
 from repro.core.server import MainServer
 from repro.des import Environment
 from repro.monitoring.dashboard import Dashboard
@@ -79,11 +79,11 @@ class TestSteppedEquivalence:
         self, small_infrastructure, workload_generator, count
     ):
         """Inbox put and get, site-queue get, core grant, the duration's
-        timeout, and a capacity wake-up when the receiver was waiting for
+        timeout, and a capacity wake-up when admission was waiting for
         cores -- no process start or end, no event nobody waits on, no idle
         sweep tick (13 events a job here with a process per job and a
-        perpetual sweeper).  The 8 are the five actors starting, ``all_done``
-        and the two ends of the feeder."""
+        perpetual sweeper).  The 8 cover the five start hops (three sites,
+        the feeder, the server) and ``all_done``."""
         execution = _quiet(monitoring=MonitoringConfig(snapshot_interval=0.0, enable_events=False))
         session = Simulator(small_infrastructure, execution=execution).session(
             workload_generator.generate(count)
@@ -561,13 +561,13 @@ class TestDetachAndServerLifecycle:
         )
 
     def test_server_expect_validates(self, env):
-        server = MainServer(env, {}, _NullPolicy(), inbox=_store(env), total_jobs=0)
+        server = MainServer(env, {}, _NullPolicy(), inbox=Inbox(env), total_jobs=0)
         with pytest.raises(SchedulingError):
             server.expect(-1)
         server.expect(0)  # no-op
 
     def test_server_expect_rearms_all_done(self, env):
-        server = MainServer(env, {}, _NullPolicy(), inbox=_store(env), total_jobs=0)
+        server = MainServer(env, {}, _NullPolicy(), inbox=Inbox(env), total_jobs=0)
         env.run()
         assert server.all_done.triggered
         first_event = server.all_done
@@ -851,12 +851,6 @@ class _NullPolicy:
 
     def finalize(self):
         pass
-
-
-def _store(env):
-    from repro.des import Store
-
-    return Store(env)
 
 
 class TestBrokenRestoredSessions:

@@ -29,6 +29,7 @@ from repro.state import (
     encode_checkpoint,
     fingerprint_result,
 )
+from repro.state.checkpoint import STEP_CALENDAR
 from repro.utils.errors import CheckpointError, SessionError
 from repro.utils.rng import RandomSource
 from repro.workload.job import reset_job_id_counter
@@ -290,6 +291,35 @@ class TestCheckpointRestore:
         payload["ops"] = [["step", 100]]  # the writer's jobs cost ten events each, say
         with pytest.raises(CheckpointError, match="bit-identity verification"):
             SimulationSession.restore(None, encode_checkpoint(payload))
+
+    def test_step_ops_of_a_build_with_processes_are_refused(
+        self, small_infrastructure, workload_generator
+    ):
+        """Blobs written before the job path lost its processes carry no
+        ``step_calendar``: their step counts included the processes' start and
+        completion events, so such a blob is refused before anything replays.
+        One without step ops restores as it always did."""
+        session = Simulator(small_infrastructure, execution=_quiet()).session(
+            workload_generator.generate(20)
+        )
+        for _ in range(60):
+            session.step()
+        payload = decode_checkpoint(session.checkpoint())
+        assert payload["step_calendar"] == STEP_CALENDAR
+        del payload["step_calendar"]
+        with pytest.raises(CheckpointError, match="step ops counted on another build"):
+            SimulationSession.restore(None, encode_checkpoint(payload))
+        payload["step_calendar"] = STEP_CALENDAR - 1
+        with pytest.raises(CheckpointError, match="step ops counted on another build"):
+            SimulationSession.restore(None, encode_checkpoint(payload))
+
+        session = Simulator(small_infrastructure, execution=_quiet()).session(
+            workload_generator.generate(20)
+        )
+        session.advance_until(300.0)
+        payload = decode_checkpoint(session.checkpoint())
+        del payload["step_calendar"]
+        assert SimulationSession.restore(None, encode_checkpoint(payload)).now == 300.0
 
     def test_restored_session_is_recheckpointable(
         self, small_infrastructure, workload_generator

@@ -3,10 +3,10 @@
 A job's values depend only on the stream position it starts at, so the
 generator may draw a job's file sizes with one ``size=n`` call and hoist
 its run constants, but it must produce the very bits the scalar loop below
-produced: one ``lognormal`` call per file, summed with Python's ``sum``
-(over numpy scalars, which are not exact floats, so ``sum`` adds them left
-to right on every CPython; over plain floats it compensates from 3.12 on),
-``uniform()`` for the multicore coin, ``np.log`` of each median per job and
+produced: one ``lognormal`` call per file, added left to right (the draws
+are plain ``float`` objects, which the builtin ``sum`` compensates from
+CPython 3.12 on, so the loop adds them itself), ``uniform()`` for the
+multicore coin, ``np.log`` of each median per job and
 a site lookup per job.  That loop is the generator before it drew each job
 in one pass; it is kept here as the reference, not in the library.
 
@@ -46,6 +46,15 @@ def reference_arrivals(generator, count, start_time):
     return list(start_time + np.cumsum(gaps))
 
 
+def _added_in_order(draws):
+    """``0.0 + d0 + d1 + ...`` left to right, on every interpreter (``float(x)``
+    keeps numpy scalars of older numpy versions from entering the additions)."""
+    total = 0.0
+    for draw in draws:
+        total += float(draw)
+    return total
+
+
 def reference_job(generator, gen, site_name, submission_time):
     """The static fields of one job, drawn one scalar at a time."""
     spec = generator.spec
@@ -62,11 +71,11 @@ def reference_job(generator, gen, site_name, submission_time):
     work = true_walltime * (site.core_speed * generator.true_speed_bias[site_name]) * cores * noise
     input_files = int(gen.poisson(spec.mean_input_files))
     output_files = int(gen.poisson(spec.mean_output_files))
-    input_size = float(
-        sum(gen.lognormal(np.log(spec.mean_file_size), 0.8) for _ in range(input_files))
+    input_size = _added_in_order(
+        gen.lognormal(np.log(spec.mean_file_size), 0.8) for _ in range(input_files)
     )
-    output_size = float(
-        sum(gen.lognormal(np.log(spec.mean_file_size), 0.8) for _ in range(output_files))
+    output_size = _added_in_order(
+        gen.lognormal(np.log(spec.mean_file_size), 0.8) for _ in range(output_files)
     )
     queue_time = float(gen.exponential(900.0))
     return {
